@@ -22,7 +22,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import serialize
 from .conditional import markov_marginal_counterexample, verify_conditional_reduction
@@ -45,15 +44,13 @@ from .reduction import (
     verify_flexible_reduction,
 )
 from .relations import (
+    EXCHANGEABLE,
+    MARKOV,
     Exchangeable,
-    ExchangeableType,
     LMarkov,
-    LMarkovType,
     Markov,
-    MarkovType,
     ProductRelation,
-    ProductType,
-    best_formula_terms,
+    class_size,
     enumerate_types,
     type_of,
 )
@@ -81,7 +78,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     parser.add_argument("--precision-bits", type=int, default=None)
     parser.add_argument("--enum-cap", type=int, default=10**8)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--output", default=None, help="write to a file instead of stdout")
 
 
@@ -198,42 +194,6 @@ def _pretty(payload: dict, indent: int = 0) -> str:
     return "\n".join(line for line in lines if line)
 
 
-def _pi_summary(descriptor, n: int) -> dict:
-    if isinstance(descriptor, ExchangeableType):
-        return {
-            "pi": [serialize.rational_str(Fraction(c, n)) for c in descriptor.counts]
-        }
-    if isinstance(descriptor, MarkovType):
-        sums = descriptor.row_sums()
-        d = len(descriptor.trans)
-        rows = [
-            [
-                serialize.rational_str(
-                    Fraction(descriptor.trans[i][j], sums[i]) if sums[i] else Fraction(1, d)
-                )
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-        return {"start": descriptor.start + 1, "kernel": rows}
-    if isinstance(descriptor, LMarkovType):
-        d = len(descriptor.trans[0])
-        sums = [sum(row) for row in descriptor.trans]
-        rows = [
-            [
-                serialize.rational_str(
-                    Fraction(descriptor.trans[g][j], sums[g]) if sums[g] else Fraction(1, d)
-                )
-                for j in range(d)
-            ]
-            for g in range(len(descriptor.trans))
-        ]
-        return {"start": [v + 1 for v in descriptor.start], "kernel": rows}
-    if isinstance(descriptor, ProductType):
-        return {"parts": [_pi_summary(p, n) for p in descriptor.parts]}
-    return {}
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -246,30 +206,28 @@ def cmd_classes(args) -> int:
         word = serialize.parse_word(args.filter_word, alphabet.size)
         descr = type_of(word, relation, alphabet)
         items = tuple((t, s) for t, s in items if t == descr)
-    rows = []
-    for descr, size in items:
-        rows.append(
-            {
-                "type": json.dumps(serialize.descriptor_to_json(descr), sort_keys=True),
-                "size": size,
-                "alpha_tight": serialize.rational_str(alpha_tight(descr, args.n)),
-                "pi": json.dumps(_pi_summary(descr, args.n), sort_keys=True),
-            }
-        )
+    classes = [
+        {
+            "type": serialize.descriptor_to_json(descr),
+            "size": size,
+            "alpha_tight": serialize.rational_str(alpha_tight(descr, args.n)),
+            "pi": descr.pi_summary(args.n),
+        }
+        for descr, size in items
+    ]
+    rows = None
+    if args.format == "csv":
+        rows = [
+            {key: json.dumps(v, sort_keys=True) if isinstance(v, dict) else v
+             for key, v in row.items()}
+            for row in classes
+        ]
     payload = {
         "relation": serialize.relation_to_json(relation),
         "d": alphabet.size,
         "n": args.n,
         "N": index.N,
-        "classes": [
-            {
-                "type": serialize.descriptor_to_json(descr),
-                "size": size,
-                "alpha_tight": serialize.rational_str(alpha_tight(descr, args.n)),
-                "pi": _pi_summary(descr, args.n),
-            }
-            for descr, size in items
-        ],
+        "classes": classes,
     }
     _emit(args, payload, rows)
     return EXIT_OK
@@ -280,22 +238,34 @@ def cmd_size(args) -> int:
     alphabet = _alphabet_from_args(args)
     word = serialize.parse_word(args.word, alphabet.size)
     descr = type_of(word, relation, alphabet)
-    from .relations import class_size
-
     payload = {
         "type": serialize.descriptor_to_json(descr),
         "size": class_size(descr, len(word)),
     }
-    if isinstance(descr, MarkovType):
-        terms = best_formula_terms(descr, len(word))
-        payload["best_formula"] = {
-            "t_w": terms["t_w"],
-            "spanning_trees": terms["spanning_trees"],
-            "factorial_ratio": serialize.rational_str(terms["factorial_ratio"]),
-            "end_vertex": terms["end_vertex"] + 1,
-        }
+    best_formula = descr.best_formula_json(len(word))
+    if best_formula is not None:
+        payload["best_formula"] = best_formula
     _emit(args, payload)
     return EXIT_OK
+
+
+def _reject_conditional_conflicts(args) -> None:
+    """The conditional reduction is exchangeable-only with the analytic alpha;
+    flags asking for anything else are errors, never silently dropped."""
+    conflicts = [
+        flag
+        for flag, given in (
+            (f"--relation {args.relation}", args.relation != "exchangeable"),
+            (f"--product {args.product}", args.product is not None),
+            (f"--alpha-mode {args.alpha_mode}", args.alpha_mode != "analytic"),
+        )
+        if given
+    ]
+    if conflicts:
+        raise ExkitError(
+            f"{', '.join(conflicts)} conflicts with the conditional reduction "
+            "(exchangeable relation, analytic alpha)"
+        )
 
 
 def cmd_certify(args) -> int:
@@ -306,17 +276,13 @@ def cmd_certify(args) -> int:
     dist = serialize.distribution_from_json(obj)
     bits = _bits(args)
     if args.conditional:
+        _reject_conditional_conflicts(args)
         cert = verify_conditional_reduction(dist, bits, args.enum_cap)
         payload = serialize.conditional_certificate_to_json(cert)
     else:
         relation = _relation_from_args(args)
         cert = verify_flexible_reduction(
-            dist,
-            relation,
-            bits,
-            cap=args.enum_cap,
-            alpha_mode=args.alpha_mode,
-            threads=args.threads,
+            dist, relation, bits, cap=args.enum_cap, alpha_mode=args.alpha_mode
         )
         payload = serialize.reduction_certificate_to_json(cert)
         payload["relation"] = serialize.relation_to_json(relation)
@@ -458,8 +424,6 @@ def cmd_game(args) -> int:
             base = serialize.strategy_from_json(json.load(fh))
     else:
         base = witness
-    from .relations import EXCHANGEABLE, MARKOV
-
     relation = EXCHANGEABLE if args.mode == "parallel" else MARKOV
     strategy = symmetrize_strategy(
         game, repeated, tensor_strategy(game, base, n), relation, args.enum_cap

@@ -32,7 +32,7 @@ from .core import (
     project_word,
 )
 from .errors import NotConditionallyExchangeable, NotExchangeable, NotFactored
-from .intervals import DEFAULT_BITS, IntervalScalar, escalate_bits
+from .intervals import DEFAULT_BITS, IntervalScalar, run_with_escalation
 from .reduction import alpha_analytic, check_exchangeable, pi_value, AlphaBound
 from .relations import (
     EXCHANGEABLE,
@@ -270,7 +270,8 @@ def verify_conditional_reduction(
         alpha_prime_tight.append(ratio)
 
     p_x = marginal(p, X_FACTOR)
-    while True:
+
+    def attempt(bits: int) -> ConditionalCertificate:
         analytic = alpha_analytic(EXCHANGEABLE, n, joint_alpha, bits)
         records = []
         n_fail = n_open = 0
@@ -293,20 +294,15 @@ def verify_conditional_reduction(
                     alpha_prime_tight=alpha_prime_tight[c],
                 )
             )
-        overall = "fails" if n_fail else ("inconclusive" if n_open else "holds")
-        cert = ConditionalCertificate(
+        return ConditionalCertificate(
             a_size=a_alpha.size,
             x_size=x_alpha.size,
             n=n,
-            verdict=overall,
+            verdict="fails" if n_fail else ("inconclusive" if n_open else "holds"),
             alpha=analytic,
             prefactor=analytic.value * index.N,
             records=tuple(records),
             bits=bits,
         )
-        if overall != "inconclusive":
-            return cert
-        next_bits = escalate_bits(bits)
-        if next_bits is None:
-            return cert
-        bits = next_bits
+
+    return run_with_escalation(attempt, bits)

@@ -31,6 +31,12 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
+def rational_str(value: Fraction) -> str:
+    """Exact decimal-free "p/q" form of a rational, as every format writes it."""
+    f = Fraction(value)
+    return f"{f.numerator}/{f.denominator}"
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Finite alphabet of size d, optionally factored as d = d_1 * d_2 * ...
@@ -54,10 +60,6 @@ class Alphabet:
                 prod *= f
             if prod != self.size:
                 raise ValueError(f"factors {self.factors} do not multiply to {self.size}")
-
-    @property
-    def is_factored(self) -> bool:
-        return self.factors is not None
 
     def unpack(self, letter: int) -> tuple[int, ...]:
         """Flat letter index -> tuple of factor letters (row-major)."""

@@ -23,7 +23,6 @@ from .reduction import alpha_analytic, alpha_tight, check_exchangeable, fidelity
 from .relations import (
     EXCHANGEABLE,
     MARKOV,
-    Exchangeable,
     Relation,
     enumerate_types,
     representative,
@@ -417,7 +416,7 @@ def definetti_upper_bound(
             [(wv * pv, size) for wv, pv, size in zip(w_values, pi_at_reps, sizes)],
             bits,
         )
-        if isinstance(relation, Exchangeable):
+        if mode == "parallel":
             single = sum(
                 (Fraction(descr.counts[z], n) for z in predicate_letters), ZERO
             )

@@ -222,41 +222,27 @@ def eulerian_trajectories(g: DirectedMultigraph, start: int, cap: int = 10**6) -
 
 
 def transition_graph(descriptor, n: int):
-    """Class multigraph of a Markov / l-Markov descriptor.
+    """Class multigraph of a Markov / l-Markov descriptor at word length n.
 
-    Returns (graph, start_vertex, end_vertex, augmented_graph) where the end
-    vertex is the unique out/in-unbalanced sink (or the start when the graph
-    is balanced) and the augmented graph adds one end -> start edge, making
-    it Eulerian whenever the class is nonempty.
+    Returns (graph, start_vertex, end_vertex, augmented_graph) as
+    ``trail_graph`` does; vertices are the l-grams by row-major rank.
     """
-    from .relations import LMarkovType, MarkovType  # local to avoid an import cycle
+    return descriptor.transition_graph(n)
 
-    if isinstance(descriptor, MarkovType):
-        d = len(descriptor.trans)
-        matrix = descriptor.trans
-        start = descriptor.start
-        expected = n - 1
-    elif isinstance(descriptor, LMarkovType):
-        d = len(descriptor.trans[0])
-        ell = descriptor.ell
-        grams = list(itertools.product(range(d), repeat=ell))
-        gram_index = {gr: i for i, gr in enumerate(grams)}
-        rows = [[0] * len(grams) for _ in grams]
-        for gi, gr in enumerate(grams):
-            for j in range(d):
-                count = descriptor.trans[gi][j]
-                if count:
-                    rows[gi][gram_index[gr[1:] + (j,)]] += count
-        matrix = tuple(tuple(r) for r in rows)
-        start = gram_index[descriptor.start]
-        expected = n - ell
-    else:
-        raise InconsistentDescriptor(f"no transition graph for {type(descriptor).__name__}")
 
+def trail_graph(matrix: Matrix, start: int, edges: int):
+    """Multigraph of the open trails from ``start`` using every edge once.
+
+    Returns (graph, start, end, augmented_graph) where the end vertex is the
+    unique out/in-unbalanced sink (or the start when the graph is balanced)
+    and the augmented graph adds one end -> start edge, making it Eulerian
+    whenever such a trail exists.  Raises NoValidEnd when the degrees admit
+    no trail from ``start``.
+    """
     g = DirectedMultigraph(len(matrix), matrix)
-    if g.edge_count != expected:
+    if g.edge_count != edges:
         raise InconsistentDescriptor(
-            f"transition counts sum to {g.edge_count}, expected {expected} for n={n}"
+            f"transition counts sum to {g.edge_count}, expected {edges}"
         )
 
     prof = g.degree_profile()

@@ -235,3 +235,16 @@ class IntervalScalar:
 def escalate_bits(bits: int, cap: int = MAX_BITS) -> Optional[int]:
     """Next precision to try after an inconclusive comparison, None at the cap."""
     return bits * 2 if bits * 2 <= cap else None
+
+
+def run_with_escalation(attempt, bits: int, max_bits: int = MAX_BITS):
+    """``attempt(bits)`` at doubling precision until its ``verdict`` is not
+    "inconclusive", or the last attempt's result once max_bits is reached."""
+    while True:
+        result = attempt(bits)
+        if result.verdict != "inconclusive":
+            return result
+        next_bits = escalate_bits(bits, max_bits)
+        if next_bits is None:
+            return result
+        bits = next_bits

@@ -29,39 +29,21 @@ from .core import (
     ONE,
 )
 from .errors import BadParams, EmptyClass, NotExchangeable
-from .intervals import DEFAULT_BITS, MAX_BITS, IntervalScalar, escalate_bits, sqrt_bounds
+from .intervals import DEFAULT_BITS, MAX_BITS, IntervalScalar, run_with_escalation, sqrt_bounds
 from .relations import (
     ClassIndex,
-    Exchangeable,
-    ExchangeableType,
-    LMarkov,
-    LMarkovType,
-    Markov,
-    MarkovType,
-    ProductRelation,
-    ProductType,
     Relation,
     TypeDescriptor,
     class_members,
     class_size,
     enumerate_types,
-    gram_rank,
     representative,
     type_of,
 )
 
 
 def descriptor_alphabet(descriptor: TypeDescriptor) -> Alphabet:
-    if isinstance(descriptor, ExchangeableType):
-        return Alphabet(len(descriptor.counts))
-    if isinstance(descriptor, MarkovType):
-        return Alphabet(len(descriptor.trans))
-    if isinstance(descriptor, LMarkovType):
-        return Alphabet(len(descriptor.trans[0]))
-    if isinstance(descriptor, ProductType):
-        sizes = tuple(descriptor_alphabet(p).size for p in descriptor.parts)
-        return Alphabet(math.prod(sizes), sizes)
-    raise TypeError(f"unknown descriptor {descriptor!r}")
+    return descriptor.alphabet()
 
 
 def uniform_class_dist(
@@ -86,50 +68,7 @@ def pi_value(descriptor: TypeDescriptor, word: Word, n: int) -> Fraction:
     Never-visited states (zero row sums) get a uniform kernel row; class
     members never traverse such a row, so certified quantities are unaffected.
     """
-    word = tuple(word)
-    if isinstance(descriptor, ExchangeableType):
-        total = sum(descriptor.counts)
-        value = ONE
-        for letter in word:
-            value *= Fraction(descriptor.counts[letter], total)
-            if not value:
-                return ZERO
-        return value
-    if isinstance(descriptor, MarkovType):
-        if word[0] != descriptor.start:
-            return ZERO
-        d = len(descriptor.trans)
-        sums = descriptor.row_sums()
-        value = ONE
-        for a, b in zip(word, word[1:]):
-            value *= Fraction(descriptor.trans[a][b], sums[a]) if sums[a] else Fraction(1, d)
-            if not value:
-                return ZERO
-        return value
-    if isinstance(descriptor, LMarkovType):
-        ell = descriptor.ell
-        if word[:ell] != descriptor.start:
-            return ZERO
-        d = len(descriptor.trans[0])
-        sums = [sum(row) for row in descriptor.trans]
-        value = ONE
-        for i in range(len(word) - ell):
-            g = gram_rank(word[i : i + ell], d)
-            row_sum = sums[g]
-            value *= Fraction(descriptor.trans[g][word[i + ell]], row_sum) if row_sum else Fraction(1, d)
-            if not value:
-                return ZERO
-        return value
-    if isinstance(descriptor, ProductType):
-        alphabet = descriptor_alphabet(descriptor)
-        value = ONE
-        for i, part in enumerate(descriptor.parts):
-            projected = tuple(alphabet.unpack(letter)[i] for letter in word)
-            value *= pi_value(part, projected, n)
-            if not value:
-                return ZERO
-        return value
-    raise TypeError(f"unknown descriptor {descriptor!r}")
+    return descriptor.pi_value(tuple(word), n)
 
 
 def empirical_pi(
@@ -173,41 +112,6 @@ class AlphaBound:
     value: IntervalScalar
     squared: IntervalScalar
     degree: int
-
-
-def _alpha_squared(relation: Relation, n: int, alphabet: Alphabet, bits: int) -> tuple[IntervalScalar, int]:
-    d = alphabet.size
-    e2 = IntervalScalar.euler_e(bits) ** 2
-    two_pi = IntervalScalar.two_pi(bits)
-    if isinstance(relation, Exchangeable):
-        if n < 1:
-            raise BadParams("n must be >= 1")
-        sq = (e2**d) * Fraction(n ** (d - 1), d**d) / two_pi
-        return sq, 2 * (d - 1)
-    if isinstance(relation, (Markov, LMarkov)):
-        ell = relation.ell if isinstance(relation, LMarkov) else 1
-        if n < ell + 1:
-            raise BadParams(f"l-Markov({ell}) pre-factor needs n >= {ell + 1}")
-        m, x = d**ell, n - ell
-        cells = min(d * m, x)
-        # max(1, max_s (x/(2 pi s))^s), enclosed by the max of the endpoints
-        rows_lo = rows_hi = ONE
-        for s in range(1, min(m, x) + 1):
-            term = Fraction(x**s, s**s) / (two_pi**s)
-            rows_lo, rows_hi = max(rows_lo, term.lo), max(rows_hi, term.hi)
-        sq = (e2**cells) * Fraction(x**cells, cells**cells) * IntervalScalar(rows_lo, rows_hi, bits)
-        return sq, m * (2 * d + 1) - 1
-    if isinstance(relation, ProductRelation):
-        if alphabet.factors is None or len(alphabet.factors) != len(relation.parts):
-            raise BadParams("product relation needs a matching factored alphabet")
-        sq = IntervalScalar.exact(1, bits)
-        degree = 0
-        for rel, f in zip(relation.parts, alphabet.factors):
-            part_sq, part_deg = _alpha_squared(rel, n, Alphabet(f), bits)
-            sq = sq * part_sq
-            degree += part_deg
-        return sq, degree
-    raise TypeError(f"unknown relation {relation!r}")
 
 
 def alpha_analytic(
@@ -267,7 +171,7 @@ def alpha_analytic(
     """
     if isinstance(alphabet, int):
         alphabet = Alphabet(alphabet)
-    squared, degree = _alpha_squared(relation, n, alphabet, bits)
+    squared, degree = relation.alpha_squared(n, alphabet, bits)
     return AlphaBound(relation, n, alphabet.size, squared.sqrt(bits), squared, degree)
 
 
@@ -421,7 +325,6 @@ def verify_flexible_reduction(
     max_bits: int = MAX_BITS,
     cap: int = DEFAULT_ENUM_CAP,
     alpha_mode: str = "analytic",
-    threads: int = 1,
 ) -> ReductionCertificate:
     """Certify P <= N alpha(n)^2 sum_k (1/N) F(P, pi_k)^2 pi_k per class.
 
@@ -445,27 +348,19 @@ def verify_flexible_reduction(
     tight = [alpha_tight(descr, n) for descr in descriptors]
     tight_max = max(tight)
 
-    analytic = alpha_analytic(relation, n, p.alphabet, bits)
-    result: Optional[ReductionCertificate] = None
-    while True:
+    def attempt(bits: int) -> ReductionCertificate:
+        analytic = alpha_analytic(relation, n, p.alphabet, bits)
         alpha_sq = (
             analytic.squared
             if alpha_mode == "analytic"
             else IntervalScalar.exact(tight_max, bits) ** 2
         )
-
-        def one_fidelity(row):
-            return fidelity_sq_from_pairs(
+        fid_sq = [
+            fidelity_sq_from_pairs(
                 [(pv * row[c], sizes[c]) for c, pv in enumerate(p_values)], bits
             )
-
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                fid_sq = list(pool.map(one_fidelity, pi_table))
-        else:
-            fid_sq = [one_fidelity(row) for row in pi_table]
+            for row in pi_table
+        ]
         records = []
         n_fail = n_open = 0
         for c, descr in enumerate(descriptors):
@@ -491,12 +386,11 @@ def verify_flexible_reduction(
                     ),
                 )
             )
-        overall = "fails" if n_fail else ("inconclusive" if n_open else "holds")
-        result = ReductionCertificate(
+        return ReductionCertificate(
             relation=relation,
             n=n,
             d=d,
-            verdict=overall,
+            verdict="fails" if n_fail else ("inconclusive" if n_open else "holds"),
             alpha=analytic,
             alpha_tight_max=tight_max,
             prefactor=alpha_sq * index.N,
@@ -505,13 +399,8 @@ def verify_flexible_reduction(
             bits=bits,
             alpha_mode=alpha_mode,
         )
-        if overall != "inconclusive":
-            return result
-        next_bits = escalate_bits(bits, max_bits)
-        if next_bits is None:
-            return result
-        bits = next_bits
-        analytic = alpha_analytic(relation, n, p.alphabet, bits)
+
+    return run_with_escalation(attempt, bits, max_bits)
 
 
 # -- Stirling sandwich ---------------------------------------------------------------

@@ -1,81 +1,273 @@
 """Partial-exchangeability relations, type descriptors and class enumeration.
 
-Four relation variants are supported on words in V^n:
+Three relation families are supported on words in V^n:
 
 * exchangeable      -- words are equivalent iff their letter counts agree;
-* Markov            -- equal first letter and equal transition-pair counts;
 * l-Markov          -- equal first l letters and equal (l+1)-gram counts;
+  Markov exchangeability is the l = 1 case, kept under its own name and
+  JSON kind;
 * Cartesian product -- component-wise equivalence on a factored alphabet.
 
-A class is identified by its type descriptor (counts / start + transition
-matrix / start gram + transition tensor / tuple of factor descriptors).
-Cardinalities come from closed formulas: the multinomial coefficient for
-exchangeability and the BEST-theorem trajectory count for the Markov family.
+A class is identified by its type descriptor (counts / start gram + transition
+tensor / tuple of factor descriptors).  Each relation types words, lists the
+candidate descriptors of length-n words and gives its analytic alpha(n)^2;
+each descriptor knows its class size, members, representative, empirical pi
+value and JSON form.  The module-level functions are the public entry points
+and call these methods.  Cardinalities come from closed formulas: the
+multinomial coefficient for exchangeability and the BEST-theorem trajectory
+count for the Markov family.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Union
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
+from typing import Iterator
 
-from .core import Alphabet, Word, DEFAULT_ENUM_CAP, project_word
-from .errors import CapExceeded, EmptyClass, InconsistentDescriptor, WordTooShort
-from .graphs import trajectory_count, transition_graph
+from .core import Alphabet, Word, DEFAULT_ENUM_CAP, ONE, ZERO, project_word, rational_str
+from .errors import (
+    BadParams,
+    CapExceeded,
+    EmptyClass,
+    InconsistentDescriptor,
+    NoValidEnd,
+    WordTooShort,
+)
+from .graphs import (
+    arborescence_count,
+    eulerian_trajectories,
+    trail_graph,
+    trajectory_count,
+    transition_graph,
+)
+from .intervals import IntervalScalar
 
 
-# -- relation variants --------------------------------------------------------
+# -- relations ------------------------------------------------------------------
+
+
+class Relation:
+    """An equivalence relation on V^n whose classes have type descriptors.
+
+    Subclasses provide ``type_of(word, alphabet)``, ``candidate_count`` and
+    ``candidates`` (or their own ``classes``), ``alpha_squared(n, alphabet,
+    bits)`` and ``to_json()``.
+    """
+
+    def min_word_length(self) -> int:
+        return 1
+
+    def classes(self, alphabet: Alphabet, n: int, cap: int) -> Iterator[tuple["TypeDescriptor", int]]:
+        """(descriptor, size) of every nonempty class, in no fixed order.
+
+        Raises CapExceeded before any work when the candidate descriptors
+        outnumber ``cap``.
+        """
+        count = self.candidate_count(alphabet, n)
+        if count > cap:
+            raise CapExceeded(f"{count} candidate types exceed enumeration cap {cap}")
+        for descr in self.candidates(alphabet, n):
+            size = class_size(descr, n)
+            if size:
+                yield descr, size
 
 
 @dataclass(frozen=True)
-class Exchangeable:
-    pass
+class Exchangeable(Relation):
+    def type_of(self, word: Word, alphabet: Alphabet) -> "ExchangeableType":
+        counts = [0] * alphabet.size
+        for letter in word:
+            counts[letter] += 1
+        return ExchangeableType(tuple(counts))
+
+    def candidate_count(self, alphabet: Alphabet, n: int) -> int:
+        return math.comb(n + alphabet.size - 1, alphabet.size - 1)
+
+    def candidates(self, alphabet: Alphabet, n: int) -> Iterator["ExchangeableType"]:
+        return map(ExchangeableType, compositions(n, alphabet.size))
+
+    def alpha_squared(self, n: int, alphabet: Alphabet, bits: int) -> tuple[IntervalScalar, int]:
+        """alpha(n)^2 = e^(2d) n^(d-1) / (d^d 2 pi) and the degree 2(d-1)."""
+        if n < 1:
+            raise BadParams("n must be >= 1")
+        d = alphabet.size
+        e2 = IntervalScalar.euler_e(bits) ** 2
+        sq = (e2**d) * Fraction(n ** (d - 1), d**d) / IntervalScalar.two_pi(bits)
+        return sq, 2 * (d - 1)
+
+    def to_json(self) -> dict:
+        return {"kind": "exchangeable"}
 
 
 @dataclass(frozen=True)
-class Markov:
-    pass
-
-
-@dataclass(frozen=True)
-class LMarkov:
+class LMarkov(Relation):
     ell: int
 
     def __post_init__(self) -> None:
         if self.ell < 1:
             raise ValueError("l-Markov order must be >= 1")
 
+    def min_word_length(self) -> int:
+        return self.ell + 1
+
+    def descriptor(self, start: tuple[int, ...], trans) -> "LMarkovType":
+        return LMarkovType(self.ell, start, trans)
+
+    def type_of(self, word: Word, alphabet: Alphabet) -> "LMarkovType":
+        ell, d = self.ell, alphabet.size
+        if len(word) < self.min_word_length():
+            raise WordTooShort(
+                f"l-Markov({ell}) needs words of length >= {self.min_word_length()}"
+            )
+        m = d**ell
+        rows = [[0] * d for _ in range(m)]
+        g = gram_rank(word[:ell], d)
+        for z in word[ell:]:
+            rows[g][z] += 1
+            g = (g * d + z) % m
+        return self.descriptor(word[:ell], tuple(tuple(r) for r in rows))
+
+    def candidate_count(self, alphabet: Alphabet, n: int) -> int:
+        d, ell = alphabet.size, self.ell
+        cells = d ** (ell + 1)
+        return d**ell * math.comb(n - ell + cells - 1, cells - 1)
+
+    def candidates(self, alphabet: Alphabet, n: int) -> Iterator["LMarkovType"]:
+        d, ell = alphabet.size, self.ell
+        m = d**ell
+        for start in itertools.product(range(d), repeat=ell):
+            for flat in compositions(n - ell, m * d):
+                yield self.descriptor(
+                    start, tuple(flat[i * d : (i + 1) * d] for i in range(m))
+                )
+
+    def alpha_squared(self, n: int, alphabet: Alphabet, bits: int) -> tuple[IntervalScalar, int]:
+        """alpha(n)^2 = e^(2K) (x/K)^K * max(1, max_s (x/(2 pi s))^s) with
+        m = d^l, x = n - l and K = min(d m, x); the proof is in
+        ``reduction.alpha_analytic``."""
+        ell, d = self.ell, alphabet.size
+        if n < ell + 1:
+            raise BadParams(f"l-Markov({ell}) pre-factor needs n >= {ell + 1}")
+        e2 = IntervalScalar.euler_e(bits) ** 2
+        two_pi = IntervalScalar.two_pi(bits)
+        m, x = d**ell, n - ell
+        cells = min(d * m, x)
+        # max(1, max_s (x/(2 pi s))^s), enclosed by the max of the endpoints
+        rows_lo = rows_hi = ONE
+        for s in range(1, min(m, x) + 1):
+            term = Fraction(x**s, s**s) / (two_pi**s)
+            rows_lo, rows_hi = max(rows_lo, term.lo), max(rows_hi, term.hi)
+        sq = (e2**cells) * Fraction(x**cells, cells**cells) * IntervalScalar(rows_lo, rows_hi, bits)
+        return sq, m * (2 * d + 1) - 1
+
+    def to_json(self) -> dict:
+        return {"kind": "lmarkov", "ell": self.ell}
+
 
 @dataclass(frozen=True)
-class ProductRelation:
-    parts: tuple["Relation", ...]
+class Markov(LMarkov):
+    """Markov exchangeability: l-Markov with l = 1.
+
+    It differs from ``LMarkov(1)`` only in its JSON kind, its descriptor
+    spelling (``MarkovType``) and in accepting words of length 1.
+    """
+
+    ell: int = field(default=1, init=False, repr=False)
+
+    def min_word_length(self) -> int:
+        return 1
+
+    def descriptor(self, start: tuple[int, ...], trans) -> "MarkovType":
+        return MarkovType(start[0], trans)
+
+    def to_json(self) -> dict:
+        return {"kind": "markov"}
+
+
+@dataclass(frozen=True)
+class ProductRelation(Relation):
+    parts: tuple[Relation, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
         if any(isinstance(p, ProductRelation) for p in self.parts):
             raise ValueError("product relations do not nest; flatten the factors")
 
+    def min_word_length(self) -> int:
+        return max(p.min_word_length() for p in self.parts)
 
-Relation = Union[Exchangeable, Markov, LMarkov, ProductRelation]
+    def factor_alphabets(self, alphabet: Alphabet) -> list[Alphabet]:
+        if alphabet.factors is None:
+            raise InconsistentDescriptor("product relation requires a factored alphabet")
+        if len(alphabet.factors) != len(self.parts):
+            raise InconsistentDescriptor("product relation arity does not match factors")
+        return [Alphabet(f) for f in alphabet.factors]
+
+    def type_of(self, word: Word, alphabet: Alphabet) -> "ProductType":
+        factors = self.factor_alphabets(alphabet)
+        return ProductType(
+            tuple(
+                rel.type_of(project_word(alphabet, word, i), fa)
+                for i, (rel, fa) in enumerate(zip(self.parts, factors))
+            )
+        )
+
+    def classes(self, alphabet: Alphabet, n: int, cap: int) -> Iterator[tuple["ProductType", int]]:
+        factors = self.factor_alphabets(alphabet)
+        sub = [enumerate_types(rel, fa, n, cap) for rel, fa in zip(self.parts, factors)]
+        count = math.prod(ix.N for ix in sub)
+        if count > cap:
+            raise CapExceeded(f"{count} product types exceed enumeration cap {cap}")
+        for combo in itertools.product(*(ix.items for ix in sub)):
+            yield ProductType(tuple(t for t, _ in combo)), math.prod(s for _, s in combo)
+
+    def alpha_squared(self, n: int, alphabet: Alphabet, bits: int) -> tuple[IntervalScalar, int]:
+        """Classes, pi_k and the ratios factor: the factors' alpha(n)^2
+        multiply and their degrees add."""
+        if alphabet.factors is None or len(alphabet.factors) != len(self.parts):
+            raise BadParams("product relation needs a matching factored alphabet")
+        sq = IntervalScalar.exact(1, bits)
+        degree = 0
+        for rel, f in zip(self.parts, alphabet.factors):
+            part_sq, part_deg = rel.alpha_squared(n, Alphabet(f), bits)
+            sq = sq * part_sq
+            degree += part_deg
+        return sq, degree
+
+    def to_json(self) -> dict:
+        return {"kind": "product", "parts": [p.to_json() for p in self.parts]}
+
 
 EXCHANGEABLE = Exchangeable()
 MARKOV = Markov()
 
 
 def min_word_length(relation: Relation) -> int:
-    if isinstance(relation, LMarkov):
-        return relation.ell + 1
-    if isinstance(relation, ProductRelation):
-        return max(min_word_length(p) for p in relation.parts)
-    return 1
+    return relation.min_word_length()
 
 
 # -- type descriptors ----------------------------------------------------------
 
 
+class TypeDescriptor:
+    """The type of one class; equal descriptors are exactly the relation's
+    equivalence.
+
+    Subclasses provide ``alphabet()``, ``sort_key()``, ``class_size(n)``,
+    ``members(n, cap)``, ``representative(n)``, ``pi_value(word, n)``,
+    ``pi_summary(n)`` and ``to_json()``.
+    """
+
+    def best_formula_json(self, n: int):
+        """The factored BEST terms reported by ``exkit size``; None unless Markov."""
+        return None
+
+
 @dataclass(frozen=True)
-class ExchangeableType:
+class ExchangeableType(TypeDescriptor):
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -83,33 +275,49 @@ class ExchangeableType:
         if any(c < 0 for c in self.counts):
             raise InconsistentDescriptor("negative letter count")
 
+    def alphabet(self) -> Alphabet:
+        return Alphabet(len(self.counts))
+
+    def sort_key(self):
+        return (0, self.counts)
+
+    def class_size(self, n: int) -> int:
+        if sum(self.counts) != n:
+            raise InconsistentDescriptor("letter counts do not sum to n")
+        size = math.factorial(n)
+        for c in self.counts:
+            size //= math.factorial(c)
+        return size
+
+    def members(self, n: int, cap: int) -> list[Word]:
+        return list(_multiset_words(self.counts))
+
+    def representative(self, n: int) -> Word:
+        return tuple(letter for letter, c in enumerate(self.counts) for _ in range(c))
+
+    def pi_value(self, word: Word, n: int) -> Fraction:
+        total = sum(self.counts)
+        value = ONE
+        for letter in word:
+            value *= Fraction(self.counts[letter], total)
+            if not value:
+                return ZERO
+        return value
+
+    def pi_summary(self, n: int) -> dict:
+        return {"pi": [rational_str(Fraction(c, n)) for c in self.counts]}
+
+    def to_json(self) -> dict:
+        return {"kind": "exchangeable", "t": list(self.counts)}
+
 
 @dataclass(frozen=True)
-class MarkovType:
-    start: int
-    trans: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        trans = tuple(tuple(row) for row in self.trans)
-        object.__setattr__(self, "trans", trans)
-        d = len(trans)
-        if any(len(row) != d for row in trans):
-            raise InconsistentDescriptor("transition matrix must be square")
-        if any(x < 0 for row in trans for x in row):
-            raise InconsistentDescriptor("negative transition count")
-        if not 0 <= self.start < d:
-            raise InconsistentDescriptor("start letter out of range")
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.trans)
-
-
-@dataclass(frozen=True)
-class LMarkovType:
+class LMarkovType(TypeDescriptor):
     """Start gram of length l plus gram -> next-letter counts.
 
     Rows of ``trans`` are indexed by the row-major rank of the gram
-    (i_1..i_l); columns by the following letter.
+    (i_1..i_l); columns by the following letter.  Gram g followed by letter z
+    is gram (g d + z) mod d^l, and gram v ends in letter v mod d.
     """
 
     ell: int
@@ -130,26 +338,154 @@ class LMarkovType:
         if any(not 0 <= v < d for v in self.start):
             raise InconsistentDescriptor("start gram letter out of range")
 
+    @property
+    def d(self) -> int:
+        return len(self.trans[0])
+
+    @cached_property
+    def kernel(self) -> tuple[tuple[Fraction, ...], ...]:
+        """pi_k's transition probabilities, gram by next letter; never-visited
+        grams (zero row sums) get a uniform row."""
+        uniform = (Fraction(1, self.d),) * self.d
+        return tuple(
+            tuple(Fraction(t, r) for t in row) if (r := sum(row)) else uniform
+            for row in self.trans
+        )
+
+    def alphabet(self) -> Alphabet:
+        return Alphabet(self.d)
+
+    def sort_key(self):
+        return (2, self.start, self.trans)
+
+    def transition_graph(self, n: int):
+        d, m = self.d, len(self.trans)
+        # Row g's successors (g d + z) mod m, z < d, are consecutive columns.
+        matrix = tuple(
+            (0,) * (g * d % m) + row + (0,) * (m - g * d % m - d)
+            for g, row in enumerate(self.trans)
+        )
+        return trail_graph(matrix, gram_rank(self.start, d), n - self.ell)
+
+    def class_size(self, n: int) -> int:
+        return trajectory_count(self, n)
+
+    def _word(self, trajectory: tuple[int, ...]) -> Word:
+        return self.start + tuple(v % self.d for v in trajectory[1:])
+
+    def members(self, n: int, cap: int) -> list[Word]:
+        g, start, _, _ = transition_graph(self, n)
+        return sorted(self._word(traj) for traj in eulerian_trajectories(g, start))
+
+    def representative(self, n: int) -> Word:
+        try:
+            g, start, _, _ = transition_graph(self, n)
+            traj = next(eulerian_trajectories(g, start))
+        except (NoValidEnd, StopIteration):
+            raise EmptyClass("empty class has no representative") from None
+        return self._word(traj)
+
+    def pi_value(self, word: Word, n: int) -> Fraction:
+        ell, d, m = self.ell, self.d, len(self.trans)
+        if word[:ell] != self.start:
+            return ZERO
+        g = gram_rank(self.start, d)
+        kernel, value = self.kernel, ONE
+        for z in word[ell:]:
+            value *= kernel[g][z]
+            if not value:
+                return ZERO
+            g = (g * d + z) % m
+        return value
+
+    def start_json(self):
+        return [v + 1 for v in self.start]
+
+    def pi_summary(self, n: int) -> dict:
+        kernel = [[rational_str(p) for p in row] for row in self.kernel]
+        return {"start": self.start_json(), "kernel": kernel}
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "lmarkov",
+            "ell": self.ell,
+            "start": self.start_json(),
+            "t": [list(row) for row in self.trans],
+        }
+
+
+class MarkovType(LMarkovType):
+    """Markov descriptor: the l = 1 ``LMarkovType`` built from a start letter,
+    written with an integer start in JSON."""
+
+    def __init__(self, start: int, trans) -> None:
+        super().__init__(1, (start,), trans)
+
+    def start_json(self):
+        return self.start[0] + 1
+
+    def best_formula_json(self, n: int) -> dict:
+        terms = best_formula_terms(self, n)
+        return {
+            "t_w": terms["t_w"],
+            "spanning_trees": terms["spanning_trees"],
+            "factorial_ratio": rational_str(terms["factorial_ratio"]),
+            "end_vertex": terms["end_vertex"] + 1,
+        }
+
+    def to_json(self) -> dict:
+        return {"kind": "markov", "start": self.start_json(), "t": [list(r) for r in self.trans]}
+
 
 @dataclass(frozen=True)
-class ProductType:
-    parts: tuple["TypeDescriptor", ...]
+class ProductType(TypeDescriptor):
+    parts: tuple[TypeDescriptor, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
 
+    def alphabet(self) -> Alphabet:
+        sizes = tuple(p.alphabet().size for p in self.parts)
+        return Alphabet(math.prod(sizes), sizes)
 
-TypeDescriptor = Union[ExchangeableType, MarkovType, LMarkovType, ProductType]
+    def sort_key(self):
+        return (3, tuple(p.sort_key() for p in self.parts))
+
+    def class_size(self, n: int) -> int:
+        return math.prod(p.class_size(n) for p in self.parts)
+
+    def members(self, n: int, cap: int) -> list[Word]:
+        alphabet = self.alphabet()
+        member_lists = [class_members(p, n, cap) for p in self.parts]
+        return sorted(
+            tuple(alphabet.pack(parts) for parts in zip(*combo))
+            for combo in itertools.product(*member_lists)
+        )
+
+    def representative(self, n: int) -> Word:
+        alphabet = self.alphabet()
+        reps = [p.representative(n) for p in self.parts]
+        return tuple(alphabet.pack(parts) for parts in zip(*reps))
+
+    def pi_value(self, word: Word, n: int) -> Fraction:
+        alphabet = self.alphabet()
+        value = ONE
+        for i, part in enumerate(self.parts):
+            projected = tuple(alphabet.unpack(letter)[i] for letter in word)
+            value *= part.pi_value(projected, n)
+            if not value:
+                return ZERO
+        return value
+
+    def pi_summary(self, n: int) -> dict:
+        return {"parts": [p.pi_summary(n) for p in self.parts]}
+
+    def to_json(self) -> dict:
+        return {"kind": "product", "parts": [p.to_json() for p in self.parts]}
 
 
 def sort_key(descriptor: TypeDescriptor):
-    if isinstance(descriptor, ExchangeableType):
-        return (0, descriptor.counts)
-    if isinstance(descriptor, MarkovType):
-        return (1, descriptor.start, descriptor.trans)
-    if isinstance(descriptor, LMarkovType):
-        return (2, descriptor.start, descriptor.trans)
-    return (3, tuple(sort_key(p) for p in descriptor.parts))
+    return descriptor.sort_key()
 
 
 def gram_rank(gram: tuple[int, ...], d: int) -> int:
@@ -166,43 +502,8 @@ def type_of(word: Word, relation: Relation, alphabet: Alphabet) -> TypeDescripto
     """Descriptor of the class containing ``word``; equal descriptors are
     exactly the relation's equivalence."""
     word = tuple(word)
-    n = len(word)
-    alphabet.check_word(word, n)
-    d = alphabet.size
-    if isinstance(relation, Exchangeable):
-        counts = [0] * d
-        for letter in word:
-            counts[letter] += 1
-        return ExchangeableType(tuple(counts))
-    if isinstance(relation, Markov):
-        rows = [[0] * d for _ in range(d)]
-        for a, b in zip(word, word[1:]):
-            rows[a][b] += 1
-        return MarkovType(word[0], tuple(tuple(r) for r in rows))
-    if isinstance(relation, LMarkov):
-        ell = relation.ell
-        if n < ell + 1:
-            raise WordTooShort(f"l-Markov({ell}) needs words of length >= {ell + 1}")
-        rows = [[0] * d for _ in range(d**ell)]
-        for i in range(n - ell):
-            rows[gram_rank(word[i : i + ell], d)][word[i + ell]] += 1
-        return LMarkovType(ell, word[:ell], tuple(tuple(r) for r in rows))
-    if isinstance(relation, ProductRelation):
-        factors = _factor_alphabets(relation, alphabet)
-        parts = tuple(
-            type_of(project_word(alphabet, word, i), rel, fa)
-            for i, (rel, fa) in enumerate(zip(relation.parts, factors))
-        )
-        return ProductType(parts)
-    raise TypeError(f"unknown relation {relation!r}")
-
-
-def _factor_alphabets(relation: ProductRelation, alphabet: Alphabet) -> list[Alphabet]:
-    if alphabet.factors is None:
-        raise InconsistentDescriptor("product relation requires a factored alphabet")
-    if len(alphabet.factors) != len(relation.parts):
-        raise InconsistentDescriptor("product relation arity does not match factors")
-    return [Alphabet(f) for f in alphabet.factors]
+    alphabet.check_word(word, len(word))
+    return relation.type_of(word, alphabet)
 
 
 # -- nonemptiness and cardinality ----------------------------------------------
@@ -210,15 +511,7 @@ def _factor_alphabets(relation: ProductRelation, alphabet: Alphabet) -> list[Alp
 
 def is_nonempty(descriptor: TypeDescriptor, n: int) -> bool:
     """Whether some word of length n realizes the descriptor."""
-    if isinstance(descriptor, ExchangeableType):
-        if sum(descriptor.counts) != n:
-            raise InconsistentDescriptor("letter counts do not sum to n")
-        return True
-    if isinstance(descriptor, (MarkovType, LMarkovType)):
-        return trajectory_count(descriptor, n) > 0
-    if isinstance(descriptor, ProductType):
-        return all(is_nonempty(p, n) for p in descriptor.parts)
-    raise TypeError(f"unknown descriptor {descriptor!r}")
+    return class_size(descriptor, n) > 0
 
 
 def class_size(descriptor: TypeDescriptor, n: int) -> int:
@@ -228,24 +521,10 @@ def class_size(descriptor: TypeDescriptor, n: int) -> int:
     count on the (augmented) transition graph for the Markov family, and the
     product of factor sizes for Cartesian products.
     """
-    if isinstance(descriptor, ExchangeableType):
-        if sum(descriptor.counts) != n:
-            raise InconsistentDescriptor("letter counts do not sum to n")
-        size = math.factorial(n)
-        for c in descriptor.counts:
-            size //= math.factorial(c)
-        return size
-    if isinstance(descriptor, (MarkovType, LMarkovType)):
-        return trajectory_count(descriptor, n)
-    if isinstance(descriptor, ProductType):
-        size = 1
-        for part in descriptor.parts:
-            size *= class_size(part, n)
-        return size
-    raise TypeError(f"unknown descriptor {descriptor!r}")
+    return descriptor.class_size(n)
 
 
-def best_formula_terms(descriptor: MarkovType, n: int) -> dict:
+def best_formula_terms(descriptor: LMarkovType, n: int) -> dict:
     """Factored BEST evaluation t_w * T(G_0) * prod(t_i - 1)!/prod t_ij!.
 
     Only defined when the end state has at least one outgoing transition
@@ -255,8 +534,6 @@ def best_formula_terms(descriptor: MarkovType, n: int) -> dict:
     t_w = g.outdeg(end)
     if t_w < 1:
         raise InconsistentDescriptor("factored form needs t_w >= 1")
-    from .graphs import arborescence_count
-
     trees = arborescence_count(aug, start)
     ratio_num = 1
     for v in range(g.m):
@@ -266,8 +543,6 @@ def best_formula_terms(descriptor: MarkovType, n: int) -> dict:
     for row in g.M:
         for mult in row:
             ratio_den *= math.factorial(mult)
-    from fractions import Fraction
-
     return {
         "t_w": t_w,
         "spanning_trees": trees,
@@ -298,82 +573,13 @@ def class_members(
     size = class_size(descriptor, n)
     if size > cap:
         raise CapExceeded(f"class of size {size} exceeds cap {cap}")
-    if isinstance(descriptor, ExchangeableType):
-        return list(_multiset_words(descriptor.counts))
-    if isinstance(descriptor, MarkovType):
-        if size == 0:
-            return []
-        from .graphs import eulerian_trajectories
-
-        g, start, _, _ = transition_graph(descriptor, n)
-        return [traj for traj in eulerian_trajectories(g, start)]
-    if isinstance(descriptor, LMarkovType):
-        if size == 0:
-            return []
-        from .graphs import eulerian_trajectories
-
-        g, start, _, _ = transition_graph(descriptor, n)
-        d = len(descriptor.trans[0])
-        grams = list(itertools.product(range(d), repeat=descriptor.ell))
-        words = []
-        for traj in eulerian_trajectories(g, start):
-            word = descriptor.start + tuple(grams[v][-1] for v in traj[1:])
-            words.append(word)
-        return sorted(words)
-    if isinstance(descriptor, ProductType):
-        factor_sizes = _product_factor_sizes(descriptor)
-        alphabet = Alphabet(math.prod(factor_sizes), tuple(factor_sizes))
-        member_lists = [class_members(p, n, cap) for p in descriptor.parts]
-        words = [
-            tuple(alphabet.pack(parts) for parts in zip(*combo))
-            for combo in itertools.product(*member_lists)
-        ]
-        return sorted(words)
-    raise TypeError(f"unknown descriptor {descriptor!r}")
-
-
-def _product_factor_sizes(descriptor: ProductType) -> list[int]:
-    sizes = []
-    for part in descriptor.parts:
-        if isinstance(part, ExchangeableType):
-            sizes.append(len(part.counts))
-        elif isinstance(part, MarkovType):
-            sizes.append(len(part.trans))
-        elif isinstance(part, LMarkovType):
-            sizes.append(len(part.trans[0]))
-        else:
-            raise InconsistentDescriptor("nested product descriptors are not supported")
-    return sizes
+    return descriptor.members(n, cap) if size else []
 
 
 def representative(descriptor: TypeDescriptor, n: int) -> Word:
     """One member of the class (the lexicographically first for exchangeable
     and product types, the first trajectory otherwise)."""
-    if isinstance(descriptor, ExchangeableType):
-        word: Word = ()
-        for letter, c in enumerate(descriptor.counts):
-            word += (letter,) * c
-        return word
-    if isinstance(descriptor, (MarkovType, LMarkovType)):
-        from .errors import NoValidEnd
-        from .graphs import eulerian_trajectories
-
-        try:
-            g, start, _, _ = transition_graph(descriptor, n)
-            traj = next(eulerian_trajectories(g, start))
-        except (NoValidEnd, StopIteration):
-            raise EmptyClass("empty class has no representative") from None
-        if isinstance(descriptor, MarkovType):
-            return traj
-        d = len(descriptor.trans[0])
-        grams = list(itertools.product(range(d), repeat=descriptor.ell))
-        return descriptor.start + tuple(grams[v][-1] for v in traj[1:])
-    if isinstance(descriptor, ProductType):
-        factor_sizes = _product_factor_sizes(descriptor)
-        alphabet = Alphabet(math.prod(factor_sizes), tuple(factor_sizes))
-        reps = [representative(p, n) for p in descriptor.parts]
-        return tuple(alphabet.pack(parts) for parts in zip(*reps))
-    raise TypeError(f"unknown descriptor {descriptor!r}")
+    return descriptor.representative(n)
 
 
 # -- class index -----------------------------------------------------------------
@@ -405,55 +611,23 @@ class ClassIndex:
     def descriptors(self) -> list[TypeDescriptor]:
         return [t for t, _ in self.items]
 
-    def size_of(self, descriptor: TypeDescriptor) -> int:
-        for t, s in self.items:
-            if t == descriptor:
-                return s
-        raise KeyError(descriptor)
-
 
 def enumerate_types(
     relation: Relation, alphabet: Alphabet, n: int, cap: int = DEFAULT_ENUM_CAP
 ) -> ClassIndex:
     """Index of exactly the nonempty classes; sizes sum to d^n by construction
-    (verified, which doubles as a self-check of the cardinality formulas)."""
+    (verified, which doubles as a self-check of the cardinality formulas).
+
+    Raises CapExceeded, before the enumeration, when the relation has more
+    candidate types than ``cap``: C(n+d-1, d-1) compositions for
+    exchangeability, d^l C(n-l+d^(l+1)-1, d^(l+1)-1) start grams times count
+    tensors for l-Markov, and the product of the factors' class counts for a
+    Cartesian product.
+    """
     if n < min_word_length(relation):
         raise WordTooShort(f"relation needs n >= {min_word_length(relation)}")
     d = alphabet.size
-    items: list[tuple[TypeDescriptor, int]] = []
-    if isinstance(relation, Exchangeable):
-        for counts in compositions(n, d):
-            items.append((ExchangeableType(counts), class_size(ExchangeableType(counts), n)))
-    elif isinstance(relation, Markov):
-        for start in range(d):
-            for flat in compositions(n - 1, d * d):
-                rows = tuple(tuple(flat[i * d : (i + 1) * d]) for i in range(d))
-                descr = MarkovType(start, rows)
-                size = class_size(descr, n)
-                if size:
-                    items.append((descr, size))
-    elif isinstance(relation, LMarkov):
-        ell = relation.ell
-        for start in itertools.product(range(d), repeat=ell):
-            for flat in compositions(n - ell, d**ell * d):
-                rows = tuple(tuple(flat[i * d : (i + 1) * d]) for i in range(d**ell))
-                descr = LMarkovType(ell, start, rows)
-                size = class_size(descr, n)
-                if size:
-                    items.append((descr, size))
-    elif isinstance(relation, ProductRelation):
-        factors = _factor_alphabets(relation, alphabet)
-        sub = [enumerate_types(rel, fa, n, cap) for rel, fa in zip(relation.parts, factors)]
-        for combo in itertools.product(*(ix.items for ix in sub)):
-            descr = ProductType(tuple(t for t, _ in combo))
-            size = 1
-            for _, s in combo:
-                size *= s
-            items.append((descr, size))
-    else:
-        raise TypeError(f"unknown relation {relation!r}")
-
-    items.sort(key=lambda pair: sort_key(pair[0]))
+    items = sorted(relation.classes(alphabet, n, cap), key=lambda pair: sort_key(pair[0]))
     total = sum(s for _, s in items)
     if total != d**n:
         raise InconsistentDescriptor(

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any
 
 from .conditional import ConditionalCertificate
-from .core import Alphabet, FiniteDistribution, Word
+from .core import Alphabet, FiniteDistribution, Word, rational_str
 from .errors import ExkitError
 from .games import Game, SequentialKernel, Strategy
 from .graphs import DirectedMultigraph
@@ -35,11 +35,6 @@ from .relations import (
     Relation,
     TypeDescriptor,
 )
-
-
-def rational_str(value: Fraction) -> str:
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -91,15 +86,7 @@ def distribution_from_json(obj: dict) -> FiniteDistribution:
 
 
 def relation_to_json(relation: Relation) -> dict:
-    if isinstance(relation, Exchangeable):
-        return {"kind": "exchangeable"}
-    if isinstance(relation, Markov):
-        return {"kind": "markov"}
-    if isinstance(relation, LMarkov):
-        return {"kind": "lmarkov", "ell": relation.ell}
-    if isinstance(relation, ProductRelation):
-        return {"kind": "product", "parts": [relation_to_json(p) for p in relation.parts]}
-    raise TypeError(f"unknown relation {relation!r}")
+    return relation.to_json()
 
 
 def relation_from_json(obj: dict) -> Relation:
@@ -116,24 +103,7 @@ def relation_from_json(obj: dict) -> Relation:
 
 
 def descriptor_to_json(descriptor: TypeDescriptor) -> dict:
-    if isinstance(descriptor, ExchangeableType):
-        return {"kind": "exchangeable", "t": list(descriptor.counts)}
-    if isinstance(descriptor, MarkovType):
-        return {
-            "kind": "markov",
-            "start": descriptor.start + 1,
-            "t": [list(row) for row in descriptor.trans],
-        }
-    if isinstance(descriptor, LMarkovType):
-        return {
-            "kind": "lmarkov",
-            "ell": descriptor.ell,
-            "start": [v + 1 for v in descriptor.start],
-            "t": [list(row) for row in descriptor.trans],
-        }
-    if isinstance(descriptor, ProductType):
-        return {"kind": "product", "parts": [descriptor_to_json(p) for p in descriptor.parts]}
-    raise TypeError(f"unknown descriptor {descriptor!r}")
+    return descriptor.to_json()
 
 
 def descriptor_from_json(obj: dict) -> TypeDescriptor:

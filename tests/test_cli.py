@@ -1,12 +1,15 @@
 import json
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from exkit import serialize
+from exkit import cli, serialize
 from exkit.cli import main
 from exkit.core import Alphabet, make_distribution, tensor_power, uniform
 from exkit.games import chsh_game
+from exkit.relations import MARKOV, enumerate_types
 
 
 @pytest.fixture()
@@ -189,3 +192,55 @@ def test_precision_env_var(chsh_file, capsys, monkeypatch):
     monkeypatch.setenv("EXKIT_PRECISION_BITS", "256")
     code = main(["alpha", "--relation", "exchangeable", "--d", "2", "--n", "4"])
     assert code == 0
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("fmt, golden", [
+    ("json", "classes_markov_d2_n4.json"),
+    ("csv", "classes_markov_d2_n4.csv"),
+    ("pretty", "classes_markov_d2_n4.txt"),
+])
+def test_classes_computes_each_class_once(fmt, golden, tmp_path, monkeypatch):
+    calls = []
+    original = cli.alpha_tight
+    monkeypatch.setattr(cli, "alpha_tight", lambda *args: calls.append(args) or original(*args))
+    out = tmp_path / golden
+    code = main(["classes", "--relation", "markov", "--d", "2", "--n", "4",
+                 "--format", fmt, "--output", str(out)])
+    assert code == 0
+    assert len(calls) == enumerate_types(MARKOV, Alphabet(2), 4).N == 14
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.fixture()
+def joint_file(tmp_path):
+    path = tmp_path / "joint.json"
+    path.write_text(serialize.dumps(serialize.distribution_to_json(uniform(Alphabet(4, (2, 2)), 2))))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["certify", "{joint}", "--conditional", "--relation", "markov"], "--relation markov"),
+    (["certify", "{joint}", "--conditional", "--product", "exchangeable,markov"], "--product"),
+    (["certify", "{joint}", "--conditional", "--alpha-mode", "tight"], "--alpha-mode tight"),
+    (["conditional", "{joint}", "--relation", "lmarkov"], "--relation lmarkov"),
+    (["conditional", "{joint}", "--product", "exchangeable,exchangeable"], "--product"),
+])
+def test_conditional_rejects_contradictory_flags(argv, flag, joint_file, capsys):
+    code = main([a.replace("{joint}", joint_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "ExkitError" and flag in error["detail"]
+
+
+def test_classes_cap_bounds_candidates_before_enumerating(capsys):
+    # 5 * C(35, 24), about 2.1e9 candidate types: rejected without walking any.
+    start = time.process_time()
+    code = main(["classes", "--relation", "markov", "--d", "5", "--n", "12", "--enum-cap", "10"])
+    assert code == 2
+    assert time.process_time() - start < 1
+    assert json.loads(capsys.readouterr().err)["error"] == "cap_exceeded"

@@ -273,15 +273,6 @@ def test_small_n_markov_analytic_formula_undershoots():
     assert cert_tight.verdict == "holds"
 
 
-def test_verify_flexible_reduction_threads_match():
-    rng = random.Random(3)
-    p = random_invariant(A2, 5, MARKOV, rng)
-    seq = verify_flexible_reduction(p, MARKOV)
-    par = verify_flexible_reduction(p, MARKOV, threads=4)
-    assert seq.verdict == par.verdict
-    assert [r.fidelity_sq.lo for r in seq.records] == [r.fidelity_sq.lo for r in par.records]
-
-
 def test_maximum_likelihood_empirical_frequencies():
     # F(Q_t, sigma^(x)n)^2 over a rational grid is maximized at sigma = pi_t.
     n = 4

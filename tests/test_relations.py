@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from exkit import relations
 from exkit.core import Alphabet
-from exkit.errors import EmptyClass, InconsistentDescriptor, WordTooShort
+from exkit.errors import CapExceeded, EmptyClass, InconsistentDescriptor, WordTooShort
 from exkit.relations import (
     EXCHANGEABLE,
     MARKOV,
@@ -206,3 +207,28 @@ def test_descriptors_are_hashable_and_enumeration_deterministic():
     keys = {descr: size for descr, size in ix.items}
     assert len(keys) == ix.N
     assert enumerate_types(MARKOV, A2, 4).items == ix.items
+
+
+def test_cap_bounds_candidates_before_enumerating(monkeypatch):
+    # Markov d=3, n=6 has 3 * C(13, 8) = 3861 candidate types (414 classes).
+    sized = []
+    original = relations.class_size
+    monkeypatch.setattr(relations, "class_size", lambda *args: sized.append(args) or original(*args))
+    with pytest.raises(CapExceeded):
+        enumerate_types(MARKOV, A3, 6, cap=10)
+    with pytest.raises(CapExceeded):
+        enumerate_types(MARKOV, A3, 6, cap=3860)
+    assert sized == []
+    assert enumerate_types(MARKOV, A3, 6, cap=3861).N == 414
+    assert len(sized) == 3861
+
+
+def test_cap_bounds_exchangeable_and_product_work():
+    # C(6 + 2, 2) = 28 compositions; the product has 5 * 14 classes.
+    with pytest.raises(CapExceeded):
+        enumerate_types(EXCHANGEABLE, A3, 6, cap=27)
+    assert enumerate_types(EXCHANGEABLE, A3, 6, cap=28).N == 28
+    product = ProductRelation((Exchangeable(), Markov()))
+    assert enumerate_types(product, A22, 4, cap=70).N == 70
+    with pytest.raises(CapExceeded):
+        enumerate_types(product, A22, 4, cap=69)
