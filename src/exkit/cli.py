@@ -8,7 +8,8 @@ without parsing:
     1  certificate Fails
     2  enumeration cap exceeded
     3  certificate Inconclusive at the precision cap
-    4  structured input error (bad file, non-exchangeable input, ...)
+    4  structured input error (bad file, non-exchangeable input, usage
+       error, contradictory flags, ...)
 
 Letters on the command line and in files are 1-indexed, matching the worked
 examples; the library is 0-indexed internally.
@@ -85,7 +86,8 @@ def _add_relation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--relation",
         choices=("exchangeable", "markov", "lmarkov", "product"),
-        default="exchangeable",
+        default=None,
+        help="default: exchangeable",
     )
     parser.add_argument("--ell", type=int, default=2, help="order for lmarkov")
     parser.add_argument(
@@ -112,7 +114,7 @@ def _parse_part(token: str):
 
 
 def _relation_from_args(args):
-    if args.relation == "exchangeable":
+    if args.relation in (None, "exchangeable"):
         return Exchangeable()
     if args.relation == "markov":
         return Markov()
@@ -249,23 +251,22 @@ def cmd_size(args) -> int:
     return EXIT_OK
 
 
-def _reject_conditional_conflicts(args) -> None:
-    """The conditional reduction is exchangeable-only with the analytic alpha;
-    flags asking for anything else are errors, never silently dropped."""
+def _reject_flags(args, context: str, consistent: dict | None = None) -> None:
+    """Exit 4 naming each of --relation, --product and --alpha-mode that was
+    given where ``context`` fixes it, unless given at the ``consistent``
+    value; such flags are errors, never silently dropped."""
+    consistent = consistent or {}
     conflicts = [
-        flag
-        for flag, given in (
-            (f"--relation {args.relation}", args.relation != "exchangeable"),
-            (f"--product {args.product}", args.product is not None),
-            (f"--alpha-mode {args.alpha_mode}", args.alpha_mode != "analytic"),
+        f"{flag} {value}"
+        for flag, value in (
+            ("--relation", args.relation),
+            ("--product", args.product),
+            ("--alpha-mode", args.alpha_mode),
         )
-        if given
+        if value is not None and consistent.get(flag) != value
     ]
     if conflicts:
-        raise ExkitError(
-            f"{', '.join(conflicts)} conflicts with the conditional reduction "
-            "(exchangeable relation, analytic alpha)"
-        )
+        raise ExkitError(f"{', '.join(conflicts)} conflicts with {context}")
 
 
 def cmd_certify(args) -> int:
@@ -275,21 +276,26 @@ def cmd_certify(args) -> int:
         return _recheck_certificate(args, obj)
     dist = serialize.distribution_from_json(obj)
     bits = _bits(args)
+    alpha_mode = args.alpha_mode or "analytic"
     if args.conditional:
-        _reject_conditional_conflicts(args)
+        _reject_flags(
+            args,
+            "the conditional reduction (exchangeable relation, analytic alpha)",
+            {"--relation": "exchangeable", "--alpha-mode": "analytic"},
+        )
         cert = verify_conditional_reduction(dist, bits, args.enum_cap)
         payload = serialize.conditional_certificate_to_json(cert)
     else:
         relation = _relation_from_args(args)
         cert = verify_flexible_reduction(
-            dist, relation, bits, cap=args.enum_cap, alpha_mode=args.alpha_mode
+            dist, relation, bits, cap=args.enum_cap, alpha_mode=alpha_mode
         )
         payload = serialize.reduction_certificate_to_json(cert)
         payload["relation"] = serialize.relation_to_json(relation)
     payload["input"] = obj
     payload["options"] = {
         "conditional": bool(args.conditional),
-        "alpha_mode": args.alpha_mode,
+        "alpha_mode": alpha_mode,
         "bits": bits,
     }
     _emit(args, payload)
@@ -297,6 +303,7 @@ def cmd_certify(args) -> int:
 
 
 def _recheck_certificate(args, cert_obj: dict) -> int:
+    _reject_flags(args, "--verify (the certificate's own relation and options are re-checked)")
     options = cert_obj.get("options", {})
     dist = serialize.distribution_from_json(cert_obj["input"])
     bits = int(options.get("bits", _bits(args)))
@@ -374,12 +381,6 @@ def cmd_beta(args) -> int:
     return EXIT_OK
 
 
-def cmd_conditional(args) -> int:
-    args.conditional = True
-    args.alpha_mode = "analytic"
-    return cmd_certify(args)
-
-
 def cmd_counterexample(args) -> int:
     report = markov_marginal_counterexample()
     payload = {
@@ -449,8 +450,17 @@ def cmd_game(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 4, not argparse's 2, which the
+    contract gives to an exceeded enumeration cap.  Subparsers inherit it."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="exkit",
         description="Exact de Finetti reductions for partially exchangeable distributions",
     )
@@ -474,7 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("file")
     p.add_argument("--conditional", action="store_true")
-    p.add_argument("--alpha-mode", choices=("analytic", "tight"), default="analytic")
+    p.add_argument(
+        "--alpha-mode", choices=("analytic", "tight"), default=None, help="default: analytic"
+    )
     p.add_argument("--verify", action="store_true", help="re-check an emitted certificate")
     p.set_defaults(func=cmd_certify)
 
@@ -502,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("file")
     p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=cmd_conditional)
+    p.set_defaults(func=cmd_certify, conditional=True, alpha_mode=None)
 
     p = sub.add_parser("counterexample", help="Markov marginal counterexample report")
     _add_common(p)

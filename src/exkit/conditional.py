@@ -15,6 +15,7 @@ counterexample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -25,7 +26,6 @@ from .core import (
     DEFAULT_ENUM_CAP,
     FiniteDistribution,
     Word,
-    ZERO,
     ONE,
     dirac,
     marginal,
@@ -33,7 +33,7 @@ from .core import (
 )
 from .errors import NotConditionallyExchangeable, NotExchangeable, NotFactored
 from .intervals import DEFAULT_BITS, IntervalScalar, run_with_escalation
-from .reduction import alpha_analytic, check_exchangeable, pi_value, AlphaBound
+from .reduction import alpha_analytic, check_exchangeable, AlphaBound
 from .relations import (
     EXCHANGEABLE,
     MARKOV,
@@ -250,24 +250,26 @@ def verify_conditional_reduction(
     # X-marginal empirical types sigma_k of each pi_k (exact rationals).
     sigma = [marginal_type(d, joint_alpha) for d in descriptors]
 
+    # pi_k(a|x) = pi_k(c) / sigma_k(x_c).  Both are integer products over
+    # n^n, so each term is prod_z t_{k,z}^t_{c,z} / prod_x s_{k,x}^s_{c,x};
+    # the k sharing one sigma share the divisor, so their numerators are
+    # summed first.  A term with pi_k(c) > 0 has sigma_k(x_c) > 0.
+    by_sigma: dict[ExchangeableType, list[ExchangeableType]] = {}
+    for descr_k, sigma_k in zip(descriptors, sigma):
+        by_sigma.setdefault(sigma_k, []).append(descr_k)
     rhs_sums = []
-    for c, rep in enumerate(reps):
-        total = ZERO
-        x_rep = x_reps[c]
-        for k, descr_k in enumerate(descriptors):
-            sx = pi_value(sigma[k], x_rep, n)
-            if sx:
-                total += pi_value(descr_k, rep, n) / sx
-        rhs_sums.append(total)
+    for descr_c, sigma_c in zip(descriptors, sigma):
+        terms = []
+        for sigma_k, group in by_sigma.items():
+            num = sum(descr_k.pi_ratio(descr_c)[0] for descr_k in group)
+            if num:
+                terms.append((num, sigma_k.pi_ratio(sigma_c)[0]))
+        den = math.lcm(*(s for _, s in terms))
+        rhs_sums.append(Fraction(sum(num * (den // s) for num, s in terms), den))
 
     # alpha'_k: tight ratio pi_{k,X^n}/Q_{k,X^n} on the support, always <= 1
     # for exchangeability; the certificate uses the valid constant 1.
-    alpha_prime_tight = []
-    for k, descr_k in enumerate(descriptors):
-        x_type = sigma[k]
-        x_class = class_size(x_type, n)
-        ratio = x_class * pi_value(x_type, representative(x_type, n), n)
-        alpha_prime_tight.append(ratio)
+    alpha_prime_tight = [class_size(x_type, n) * x_type.pi_at(x_type) for x_type in sigma]
 
     p_x = marginal(p, X_FACTOR)
 

@@ -12,6 +12,7 @@ probability by a mixture of per-round i.i.d. / Markov surrogates.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -19,7 +20,7 @@ from typing import Mapping, Optional
 from .core import Alphabet, DEFAULT_ENUM_CAP, FiniteDistribution, Word, ZERO, ONE
 from .errors import BadParams, CapExceeded, DimensionMismatch, KernelNotStationary
 from .intervals import DEFAULT_BITS, IntervalScalar
-from .reduction import alpha_analytic, alpha_tight, check_exchangeable, fidelity_sq_from_pairs, pi_value
+from .reduction import alpha_analytic, alpha_tight, check_exchangeable, fidelity_sq_from_pairs
 from .relations import (
     EXCHANGEABLE,
     MARKOV,
@@ -98,24 +99,37 @@ def winning_probability(game: Game, strategy: Strategy) -> Fraction:
 
 
 def classical_value(game: Game, cap: int = DEFAULT_ENUM_CAP) -> tuple[Fraction, Strategy]:
-    """Exact max over deterministic strategy pairs, with an achieving witness."""
-    n_pairs = len(game.outputs_a) ** len(game.inputs_x) * len(game.outputs_b) ** len(
-        game.inputs_y
+    """Exact max over deterministic strategy pairs, with an achieving witness.
+
+    For each of Bob's tables g, Alice's best reply picks, input by input, the
+    first output of maximal score: the score is a sum over x, so that reply
+    is the lexicographically first optimal f.  The witness is the first
+    (g, f) of maximal score in lexicographic order.  The work, |B|^|Y| |X| |A|
+    scored (table, input, output) triples, is what ``cap`` bounds.
+    """
+    work = (
+        len(game.outputs_b) ** len(game.inputs_y) * len(game.inputs_x) * len(game.outputs_a)
     )
-    if n_pairs > cap:
-        raise CapExceeded(f"{n_pairs} deterministic strategies exceed cap {cap}")
-    # Scores grouped by Bob's table first so Alice's best reply is a cheap max.
+    if work > cap:
+        raise CapExceeded(f"{work} best-response evaluations exceed cap {cap}")
+    law_by_x: dict = {x: [] for x in game.inputs_x}
+    for (x, y), t in game.input_law.items():
+        if t:
+            law_by_x[x].append((y, t))
     best: Optional[tuple[Fraction, dict, dict]] = None
     for g_choice in itertools.product(game.outputs_b, repeat=len(game.inputs_y)):
         g = dict(zip(game.inputs_y, g_choice))
-        for f_choice in itertools.product(game.outputs_a, repeat=len(game.inputs_x)):
-            f = dict(zip(game.inputs_x, f_choice))
-            score = ZERO
-            for (x, y), t in game.input_law.items():
-                if t and game.wins(x, y, f[x], g[y]):
-                    score += t
-            if best is None or score > best[0]:
-                best = (score, f, g)
+        f, score = {}, ZERO
+        for x in game.inputs_x:
+            gains = [
+                sum((t for y, t in law_by_x[x] if game.wins(x, y, a, g[y])), ZERO)
+                for a in game.outputs_a
+            ]
+            best_gain = max(gains)
+            f[x] = game.outputs_a[gains.index(best_gain)]
+            score += best_gain
+        if best is None or score > best[0]:
+            best = (score, f, g)
     assert best is not None
     return best[0], deterministic_strategy(game, best[1], best[2])
 
@@ -393,8 +407,7 @@ def definetti_upper_bound(
     index = enumerate_types(relation, alphabet, n, cap)
     descriptors = index.descriptors()
     sizes = [size for _, size in index.items]
-    reps = [representative(d, n) for d in descriptors]
-    w_values = [w(rep) for rep in reps]
+    w_values = [w(representative(d, n)) for d in descriptors]
 
     predicate_letters = frozenset(
         alphabet.pack(
@@ -408,12 +421,23 @@ def definetti_upper_bound(
         for (x, y, a, b) in game.predicate
     )
 
+    if mode == "sequential":
+        # <V^(x)n, pi_k> = sum over the winning words; pi_k is constant on
+        # classes, so the words are typed once and counted per class.
+        if len(predicate_letters) ** n > cap:
+            raise CapExceeded("predicate power too large for the sequential bound")
+        predicate_classes = Counter(
+            type_of(word, relation, alphabet)
+            for word in itertools.product(sorted(predicate_letters), repeat=n)
+        )
+
+    # F(W, pi_k) sums over supp W only.
+    support = [c for c, wv in enumerate(w_values) if wv]
     rows = []
     bound = IntervalScalar.exact(0, bits)
-    for k, descr in enumerate(descriptors):
-        pi_at_reps = [pi_value(descr, rep, n) for rep in reps]
+    for descr in descriptors:
         fid = fidelity_sq_from_pairs(
-            [(wv * pv, size) for wv, pv, size in zip(w_values, pi_at_reps, sizes)],
+            [(w_values[c] * descr.pi_at(descriptors[c]), sizes[c]) for c in support],
             bits,
         )
         if mode == "parallel":
@@ -422,14 +446,8 @@ def definetti_upper_bound(
             )
             weight = single**n
         else:
-            if len(predicate_letters) ** n > cap:
-                raise CapExceeded("predicate power too large for the sequential bound")
             weight = sum(
-                (
-                    pi_value(descr, word, n)
-                    for word in itertools.product(sorted(predicate_letters), repeat=n)
-                ),
-                ZERO,
+                (count * descr.pi_at(c) for c, count in predicate_classes.items()), ZERO
             )
         rows.append(BoundRow(descr, fid, weight))
         if weight:

@@ -63,12 +63,14 @@ def uniform_class_dist(
 
 
 def pi_value(descriptor: TypeDescriptor, word: Word, n: int) -> Fraction:
-    """Value of the empirical comparison distribution pi_k at one word.
+    """Value of the empirical comparison distribution pi_k at one word: the
+    descriptor's ``pi_at`` on the word's type.
 
     Never-visited states (zero row sums) get a uniform kernel row; class
     members never traverse such a row, so certified quantities are unaffected.
     """
-    return descriptor.pi_value(tuple(word), n)
+    word = tuple(word)
+    return descriptor.pi_at(descriptor.relation().type_of(word, descriptor.alphabet()))
 
 
 def empirical_pi(
@@ -94,8 +96,7 @@ def alpha_tight(descriptor: TypeDescriptor, n: int) -> Fraction:
     size = class_size(descriptor, n)
     if size == 0:
         raise EmptyClass(f"{descriptor} is realized by no word of length {n}")
-    rep = representative(descriptor, n)
-    return 1 / (size * pi_value(descriptor, rep, n))
+    return 1 / (size * descriptor.pi_at(descriptor))
 
 
 # -- analytic pre-factor --------------------------------------------------------
@@ -336,14 +337,18 @@ def verify_flexible_reduction(
     domination, so neither mode can return "fails" on a relation-invariant P.
     """
     decomp = decompose(p, relation, cap)
-    index, reps = decomp.index, decomp.representatives
+    index = decomp.index
     n, d = p.n, p.alphabet.size
     descriptors = index.descriptors()
     sizes = [size for _, size in index.items]
     p_values = [mu / size for mu, size in zip(decomp.weights, sizes)]
 
+    # A class with P = 0 holds at once (its LHS is 0), and the fidelities sum
+    # over supp P only, so pi_k is tabulated on the supported classes alone.
+    support = [c for c, pv in enumerate(p_values) if pv]
+    column = {c: j for j, c in enumerate(support)}
     pi_table = [
-        [pi_value(k_descr, rep, n) for rep in reps] for k_descr in descriptors
+        [k_descr.pi_at(descriptors[c]) for c in support] for k_descr in descriptors
     ]
     tight = [alpha_tight(descr, n) for descr in descriptors]
     tight_max = max(tight)
@@ -357,21 +362,22 @@ def verify_flexible_reduction(
         )
         fid_sq = [
             fidelity_sq_from_pairs(
-                [(pv * row[c], sizes[c]) for c, pv in enumerate(p_values)], bits
+                [(p_values[c] * pv, sizes[c]) for c, pv in zip(support, row)], bits
             )
             for row in pi_table
         ]
         records = []
         n_fail = n_open = 0
         for c, descr in enumerate(descriptors):
-            rhs = IntervalScalar.exact(0, bits)
-            for k in range(index.N):
-                if pi_table[k][c]:
-                    rhs = rhs + fid_sq[k] * pi_table[k][c]
-            rhs = rhs * alpha_sq
-            lhs = p_values[c]
-            ok = rhs.certainly_ge(lhs)
-            verdict = "holds" if ok else ("fails" if ok is False else "inconclusive")
+            verdict = "holds"
+            if c in column:
+                j = column[c]
+                rhs = IntervalScalar.exact(0, bits)
+                for k in range(index.N):
+                    if pi_table[k][j]:
+                        rhs = rhs + fid_sq[k] * pi_table[k][j]
+                ok = (rhs * alpha_sq).certainly_ge(p_values[c])
+                verdict = "holds" if ok else ("fails" if ok is False else "inconclusive")
             n_fail += verdict == "fails"
             n_open += verdict == "inconclusive"
             records.append(

@@ -11,9 +11,10 @@ Three relation families are supported on words in V^n:
 A class is identified by its type descriptor (counts / start gram + transition
 tensor / tuple of factor descriptors).  Each relation types words, lists the
 candidate descriptors of length-n words and gives its analytic alpha(n)^2;
-each descriptor knows its class size, members, representative, empirical pi
-value and JSON form.  The module-level functions are the public entry points
-and call these methods.  Cardinalities come from closed formulas: the
+each descriptor knows its class size, members, representative, JSON form and
+the value of its empirical pi_k on any class.  The module-level functions are
+the public entry points and call these methods.  Cardinalities come from
+closed formulas: the
 multinomial coefficient for exchangeability and the BEST-theorem trajectory
 count for the Markov family.
 """
@@ -256,10 +257,16 @@ class TypeDescriptor:
     """The type of one class; equal descriptors are exactly the relation's
     equivalence.
 
-    Subclasses provide ``alphabet()``, ``sort_key()``, ``class_size(n)``,
-    ``members(n, cap)``, ``representative(n)``, ``pi_value(word, n)``,
-    ``pi_summary(n)`` and ``to_json()``.
+    Subclasses provide ``relation()``, ``alphabet()``, ``sort_key()``,
+    ``class_size(n)``, ``members(n, cap)``, ``representative(n)``,
+    ``pi_ratio(c)``, ``pi_summary(n)`` and ``to_json()``.
     """
+
+    def pi_at(self, c: "TypeDescriptor") -> Fraction:
+        """pi_k (k = self) at any member of class c; pi_k is constant on
+        classes, so the two descriptors determine it."""
+        num, den = self.pi_ratio(c)
+        return Fraction(num, den) if num else ZERO
 
     def best_formula_json(self, n: int):
         """The factored BEST terms reported by ``exkit size``; None unless Markov."""
@@ -274,6 +281,9 @@ class ExchangeableType(TypeDescriptor):
         object.__setattr__(self, "counts", tuple(self.counts))
         if any(c < 0 for c in self.counts):
             raise InconsistentDescriptor("negative letter count")
+
+    def relation(self) -> Relation:
+        return EXCHANGEABLE
 
     def alphabet(self) -> Alphabet:
         return Alphabet(len(self.counts))
@@ -295,14 +305,16 @@ class ExchangeableType(TypeDescriptor):
     def representative(self, n: int) -> Word:
         return tuple(letter for letter, c in enumerate(self.counts) for _ in range(c))
 
-    def pi_value(self, word: Word, n: int) -> Fraction:
-        total = sum(self.counts)
-        value = ONE
-        for letter in word:
-            value *= Fraction(self.counts[letter], total)
-            if not value:
-                return ZERO
-        return value
+    def pi_ratio(self, c: "ExchangeableType") -> tuple[int, int]:
+        """prod_z t_{k,z}^t_{c,z} / n_k^n_c as an unreduced integer ratio,
+        (0, 1) when c uses a letter k never does."""
+        num = 1
+        for tk, tc in zip(self.counts, c.counts):
+            if tc:
+                if not tk:
+                    return 0, 1
+                num *= tk**tc
+        return num, sum(self.counts) ** sum(c.counts)
 
     def pi_summary(self, n: int) -> dict:
         return {"pi": [rational_str(Fraction(c, n)) for c in self.counts]}
@@ -343,14 +355,21 @@ class LMarkovType(TypeDescriptor):
         return len(self.trans[0])
 
     @cached_property
-    def kernel(self) -> tuple[tuple[Fraction, ...], ...]:
-        """pi_k's transition probabilities, gram by next letter; never-visited
-        grams (zero row sums) get a uniform row."""
-        uniform = (Fraction(1, self.d),) * self.d
+    def row_sums(self) -> tuple[int, ...]:
+        return tuple(sum(row) for row in self.trans)
+
+    @cached_property
+    def kernel(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """pi_k's transition probabilities as (counts, total) per gram, the
+        row over the next letter being counts / total; never-visited grams
+        (zero row sums) get the uniform row (1, ..., 1) / d."""
+        uniform = ((1,) * self.d, self.d)
         return tuple(
-            tuple(Fraction(t, r) for t in row) if (r := sum(row)) else uniform
-            for row in self.trans
+            (row, r) if r else uniform for row, r in zip(self.trans, self.row_sums)
         )
+
+    def relation(self) -> Relation:
+        return LMarkov(self.ell)
 
     def alphabet(self) -> Alphabet:
         return Alphabet(self.d)
@@ -385,24 +404,29 @@ class LMarkovType(TypeDescriptor):
             raise EmptyClass("empty class has no representative") from None
         return self._word(traj)
 
-    def pi_value(self, word: Word, n: int) -> Fraction:
-        ell, d, m = self.ell, self.d, len(self.trans)
-        if word[:ell] != self.start:
-            return ZERO
-        g = gram_rank(self.start, d)
-        kernel, value = self.kernel, ONE
-        for z in word[ell:]:
-            value *= kernel[g][z]
-            if not value:
-                return ZERO
-            g = (g * d + z) % m
-        return value
+    def pi_ratio(self, c: "LMarkovType") -> tuple[int, int]:
+        """[start grams agree] * prod_{g,z} (t_{k,gz}/r_{k,g})^t_{c,gz} as an
+        unreduced integer ratio, (0, 1) when c takes a step k never does.  A
+        gram k never visits contributes (1/d)^r_{c,g}."""
+        if c.start != self.start:
+            return 0, 1
+        num = den = 1
+        for (row_k, r_k), row_c, r_c in zip(self.kernel, c.trans, c.row_sums):
+            if not r_c:
+                continue
+            den *= r_k**r_c
+            for tk, tc in zip(row_k, row_c):
+                if tc:
+                    if not tk:
+                        return 0, 1
+                    num *= tk**tc
+        return num, den
 
     def start_json(self):
         return [v + 1 for v in self.start]
 
     def pi_summary(self, n: int) -> dict:
-        kernel = [[rational_str(p) for p in row] for row in self.kernel]
+        kernel = [[rational_str(Fraction(t, r)) for t in row] for row, r in self.kernel]
         return {"start": self.start_json(), "kernel": kernel}
 
     def to_json(self) -> dict:
@@ -421,10 +445,18 @@ class MarkovType(LMarkovType):
     def __init__(self, start: int, trans) -> None:
         super().__init__(1, (start,), trans)
 
+    def relation(self) -> Relation:
+        return MARKOV
+
     def start_json(self):
         return self.start[0] + 1
 
-    def best_formula_json(self, n: int) -> dict:
+    def best_formula_json(self, n: int) -> dict | None:
+        """None when the end state has no outgoing transition (t_w = 0),
+        where the factored form is not defined."""
+        g, _, end, _ = transition_graph(self, n)
+        if not g.outdeg(end):
+            return None
         terms = best_formula_terms(self, n)
         return {
             "t_w": terms["t_w"],
@@ -443,6 +475,9 @@ class ProductType(TypeDescriptor):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
+
+    def relation(self) -> Relation:
+        return ProductRelation(tuple(p.relation() for p in self.parts))
 
     def alphabet(self) -> Alphabet:
         sizes = tuple(p.alphabet().size for p in self.parts)
@@ -467,15 +502,14 @@ class ProductType(TypeDescriptor):
         reps = [p.representative(n) for p in self.parts]
         return tuple(alphabet.pack(parts) for parts in zip(*reps))
 
-    def pi_value(self, word: Word, n: int) -> Fraction:
-        alphabet = self.alphabet()
-        value = ONE
-        for i, part in enumerate(self.parts):
-            projected = tuple(alphabet.unpack(letter)[i] for letter in word)
-            value *= part.pi_value(projected, n)
-            if not value:
-                return ZERO
-        return value
+    def pi_ratio(self, c: "ProductType") -> tuple[int, int]:
+        num = den = 1
+        for part, c_part in zip(self.parts, c.parts):
+            part_num, part_den = part.pi_ratio(c_part)
+            if not part_num:
+                return 0, 1
+            num, den = num * part_num, den * part_den
+        return num, den
 
     def pi_summary(self, n: int) -> dict:
         return {"parts": [p.pi_summary(n) for p in self.parts]}

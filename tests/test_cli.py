@@ -227,6 +227,16 @@ def joint_file(tmp_path):
     (["certify", "{joint}", "--conditional", "--alpha-mode", "tight"], "--alpha-mode tight"),
     (["conditional", "{joint}", "--relation", "lmarkov"], "--relation lmarkov"),
     (["conditional", "{joint}", "--product", "exchangeable,exchangeable"], "--product"),
+    (["certify", str(GOLDEN / "certify_markov_d2_n4.json"), "--verify", "--relation", "exchangeable"],
+     "--relation exchangeable"),
+    (["certify", str(GOLDEN / "certify_markov_d2_n4.json"), "--verify", "--product", "exchangeable,markov"],
+     "--product"),
+    (["certify", str(GOLDEN / "certify_markov_d2_n4.json"), "--verify", "--alpha-mode", "tight"],
+     "--alpha-mode tight"),
+    (["certify", str(GOLDEN / "certify_markov_d2_n4_tight.json"), "--verify", "--alpha-mode", "analytic"],
+     "--alpha-mode analytic"),
+    (["conditional", str(GOLDEN / "conditional_2x2_n3.json"), "--verify", "--relation", "markov"],
+     "--relation markov"),
 ])
 def test_conditional_rejects_contradictory_flags(argv, flag, joint_file, capsys):
     code = main([a.replace("{joint}", joint_file) for a in argv])
@@ -244,3 +254,27 @@ def test_classes_cap_bounds_candidates_before_enumerating(capsys):
     assert code == 2
     assert time.process_time() - start < 1
     assert json.loads(capsys.readouterr().err)["error"] == "cap_exceeded"
+
+
+@pytest.mark.parametrize("word", ["1123", "12"])
+def test_size_without_factored_best_form(word, capsys):
+    # The end state has no outgoing transition (t_w = 0): the size is
+    # reported and the factored BEST terms are left out.
+    d = max(int(c) for c in word)
+    code, out = run(capsys, "size", "--relation", "markov", "--d", str(d), "--word", word)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["size"] == 1
+    assert "best_formula" not in payload
+
+
+def test_usage_errors_exit_4_and_cap_still_exits_2(joint_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["conditional", joint_file, "--alpha-mode", "tight"])
+    assert exc.value.code == 4
+    assert "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert main(["classes", "--relation", "markov", "--d", "5", "--n", "12", "--enum-cap", "10"]) == 2

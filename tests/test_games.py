@@ -78,6 +78,52 @@ def test_classical_value_cap():
         classical_value(CHSH, cap=4)
 
 
+def exhaustive_classical_value(game):
+    """Every deterministic pair (g, then f, in lexicographic order); the first
+    of maximal score is the witness."""
+    best = None
+    for g_choice in itertools.product(game.outputs_b, repeat=len(game.inputs_y)):
+        g = dict(zip(game.inputs_y, g_choice))
+        for f_choice in itertools.product(game.outputs_a, repeat=len(game.inputs_x)):
+            f = dict(zip(game.inputs_x, f_choice))
+            score = sum(
+                (t for (x, y), t in game.input_law.items() if game.wins(x, y, f[x], g[y])),
+                Fraction(0),
+            )
+            if best is None or score > best[0]:
+                best = (score, f, g)
+    return best[0], deterministic_strategy(game, best[1], best[2])
+
+
+def random_game(rng, size):
+    inputs, outputs = tuple(range(size)), tuple(range(size))
+    weights = {(x, y): rng.randint(0, 4) for x in inputs for y in inputs}
+    weights[(0, 0)] += 1
+    total = sum(weights.values())
+    predicate = frozenset(
+        (x, y, a, b)
+        for x in inputs for y in inputs for a in outputs for b in outputs
+        if rng.random() < 0.4
+    )
+    law = {xy: Fraction(w, total) for xy, w in weights.items()}
+    return Game(inputs, inputs, outputs, outputs, law, predicate)
+
+
+@pytest.mark.parametrize("game", [
+    CHSH, parallel_game(CHSH, 2), random_game(random.Random(3), 3),
+], ids=["chsh", "chsh2", "random3x3"])
+def test_classical_value_best_response_matches_exhaustive(game):
+    assert classical_value(game) == exhaustive_classical_value(game)
+
+
+def test_classical_value_cap_counts_best_response_work():
+    # CHSH^2: 4^4 Bob tables x 4 inputs x 4 outputs.
+    g2 = parallel_game(CHSH, 2)
+    assert classical_value(g2, cap=4**4 * 4 * 4)[0] == Fraction(5, 8)
+    with pytest.raises(CapExceeded):
+        classical_value(g2, cap=4**4 * 4 * 4 - 1)
+
+
 def test_all_deterministic_chsh_values_are_quarter_or_three_quarters():
     values = set()
     for fa in itertools.product((0, 1), repeat=2):

@@ -5,6 +5,8 @@ exchangeable x Markov with small alphabets and word lengths, so that every
 d^n word can be grouped by its descriptor as an oracle.
 """
 
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 from exkit import serialize
@@ -13,8 +15,10 @@ from exkit.reduction import pi_value
 from exkit.relations import (
     EXCHANGEABLE,
     MARKOV,
+    ExchangeableType,
     LMarkov,
     ProductRelation,
+    ProductType,
     brute_force_index,
     class_members,
     class_size,
@@ -91,3 +95,46 @@ def test_markov_is_lmarkov1(d, n):
         assert representative(descr, n) == representative(twin, n)
         for rep in reps:
             assert pi_value(descr, rep, n) == pi_value(twin, rep, n)
+
+
+def pi_by_letters(descr, word):
+    """pi_k(word) one letter at a time, straight from the descriptor's counts
+    (uniform rows for never-visited grams)."""
+    if isinstance(descr, ProductType):
+        alphabet = descr.alphabet()
+        value = Fraction(1)
+        for i, part in enumerate(descr.parts):
+            value *= pi_by_letters(part, tuple(alphabet.unpack(z)[i] for z in word))
+        return value
+    if isinstance(descr, ExchangeableType):
+        value = Fraction(1)
+        for z in word:
+            value *= Fraction(descr.counts[z], sum(descr.counts))
+        return value
+    ell, d = descr.ell, len(descr.trans[0])
+    if word[:ell] != descr.start:
+        return Fraction(0)
+    value = Fraction(1)
+    for i in range(ell, len(word)):
+        row = descr.trans[sum(v * d ** (ell - 1 - j) for j, v in enumerate(word[i - ell : i]))]
+        value *= Fraction(row[word[i]], sum(row)) if sum(row) else Fraction(1, d)
+    return value
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(relation_cases())
+def test_pi_at_equals_letter_by_letter_product_on_every_member(case):
+    relation, alphabet, n = case
+    groups = brute_force_index(relation, alphabet, n)
+    for k in groups:
+        for c, members in groups.items():
+            value = k.pi_at(c)
+            assert all(pi_by_letters(k, w) == value for w in members)
+            assert pi_value(k, members[0], n) == value
+
+
+def test_pi_at_uniform_row_for_a_gram_k_never_visits():
+    k = type_of((0, 0, 1), MARKOV, Alphabet(2))
+    c = type_of((0, 1, 1), MARKOV, Alphabet(2))
+    # 0 -> 1 with probability 1/2; k never leaves 1, so 1 -> 1 gets 1/2.
+    assert k.pi_at(c) == pi_value(k, (0, 1, 1), 3) == Fraction(1, 4)
