@@ -89,7 +89,7 @@ def _add_relation_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="default: exchangeable",
     )
-    parser.add_argument("--ell", type=int, default=2, help="order for lmarkov")
+    parser.add_argument("--ell", type=int, default=None, help="order for lmarkov (default: 2)")
     parser.add_argument(
         "--product",
         default=None,
@@ -119,7 +119,7 @@ def _relation_from_args(args):
     if args.relation == "markov":
         return Markov()
     if args.relation == "lmarkov":
-        return LMarkov(args.ell)
+        return LMarkov(2 if args.ell is None else args.ell)
     parts = args.product or "exchangeable,exchangeable"
     return ProductRelation(tuple(_parse_part(p) for p in parts.split(",")))
 
@@ -251,19 +251,26 @@ def cmd_size(args) -> int:
     return EXIT_OK
 
 
-def _reject_flags(args, context: str, consistent: dict | None = None) -> None:
-    """Exit 4 naming each of --relation, --product and --alpha-mode that was
+def _reject_flags(args, context: str, consistent: dict | None = None, also: tuple = ()) -> None:
+    """Exit 4 naming each of --relation, --ell, --product and --alpha-mode,
+    and of the flags in ``also`` (--conditional, --precision-bits), that was
     given where ``context`` fixes it, unless given at the ``consistent``
     value; such flags are errors, never silently dropped."""
     consistent = consistent or {}
+    given = {
+        "--relation": args.relation,
+        "--ell": args.ell,
+        "--product": args.product,
+        "--alpha-mode": args.alpha_mode,
+        # The conditional subcommand sets it; only certify takes it as a flag.
+        "--conditional": True if args.command == "certify" and args.conditional else None,
+        "--precision-bits": args.precision_bits,
+    }
+    flags = ("--relation", "--ell", "--product", "--alpha-mode") + also
     conflicts = [
-        f"{flag} {value}"
-        for flag, value in (
-            ("--relation", args.relation),
-            ("--product", args.product),
-            ("--alpha-mode", args.alpha_mode),
-        )
-        if value is not None and consistent.get(flag) != value
+        flag if given[flag] is True else f"{flag} {given[flag]}"
+        for flag in flags
+        if given[flag] is not None and consistent.get(flag) != given[flag]
     ]
     if conflicts:
         raise ExkitError(f"{', '.join(conflicts)} conflicts with {context}")
@@ -303,8 +310,17 @@ def cmd_certify(args) -> int:
 
 
 def _recheck_certificate(args, cert_obj: dict) -> int:
-    _reject_flags(args, "--verify (the certificate's own relation and options are re-checked)")
+    _reject_flags(
+        args,
+        "--verify (the certificate's own relation and options are re-checked)",
+        also=("--conditional", "--precision-bits"),
+    )
     options = cert_obj.get("options", {})
+    if args.command == "conditional" and not options.get("conditional"):
+        raise ExkitError(
+            "conditional --verify conflicts with a flexible certificate "
+            "(options.conditional is false); re-check it with certify --verify"
+        )
     dist = serialize.distribution_from_json(cert_obj["input"])
     bits = int(options.get("bits", _bits(args)))
     if options.get("conditional"):

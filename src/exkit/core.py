@@ -10,6 +10,7 @@ factorization so a letter can be packed/unpacked to a tuple of factor letters.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional
@@ -97,8 +98,14 @@ class Alphabet:
 
 
 def project_word(alphabet: Alphabet, word: Word, factor: int) -> Word:
-    """Coordinate-wise projection of a word onto one factor (0-based index)."""
-    return tuple(alphabet.unpack(letter)[factor] for letter in word)
+    """Coordinate-wise projection of a word onto one factor (0-based index):
+    ``alphabet.unpack(letter)[factor]`` per letter, read off as the digit of
+    the row-major packing without unpacking the other factors."""
+    if alphabet.factors is None:
+        raise NotFactored("alphabet has no factorization")
+    size = alphabet.factors[factor]
+    stride = math.prod(alphabet.factors[factor + 1 :])
+    return tuple(letter // stride % size for letter in word)
 
 
 @dataclass(frozen=True)

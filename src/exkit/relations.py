@@ -132,18 +132,36 @@ class LMarkov(Relation):
         return self.descriptor(word[:ell], tuple(tuple(r) for r in rows))
 
     def candidate_count(self, alphabet: Alphabet, n: int) -> int:
+        """Start grams times count tensors, d^l C(n-l+d^(l+1)-1, d^(l+1)-1):
+        an upper bound on ``candidates``, which yields only the tensors among
+        them whose degrees admit a trail."""
         d, ell = alphabet.size, self.ell
         cells = d ** (ell + 1)
         return d**ell * math.comb(n - ell + cells - 1, cells - 1)
 
     def candidates(self, alphabet: Alphabet, n: int) -> Iterator["LMarkovType"]:
+        """Each (start gram, count tensor) pair whose degrees admit an open
+        trail from the start gram, exactly once: out - in = [v = start] -
+        [v = end] at every gram.  Connectivity is left to the class size.
+
+        Per start gram s and end gram e, the out-degrees r run over the
+        compositions of n - l into d^l parts (r_s >= 1 unless e = s) and the
+        in-degrees are r - [v = s] + [v = e]; ``_de_bruijn_tables`` fills the
+        tensors with those margins.  The degrees fix e, so no tensor repeats.
+        """
         d, ell = alphabet.size, self.ell
         m = d**ell
         for start in itertools.product(range(d), repeat=ell):
-            for flat in compositions(n - ell, m * d):
-                yield self.descriptor(
-                    start, tuple(flat[i * d : (i + 1) * d] for i in range(m))
-                )
+            s = gram_rank(start, d)
+            for out in compositions(n - ell, m):
+                for e in range(m):
+                    if e != s and not out[s]:
+                        continue
+                    into = list(out)
+                    into[s] -= 1
+                    into[e] += 1
+                    for trans in _de_bruijn_tables(out, into, d):
+                        yield self.descriptor(start, trans)
 
     def alpha_squared(self, n: int, alphabet: Alphabet, bits: int) -> tuple[IntervalScalar, int]:
         """alpha(n)^2 = e^(2K) (x/K)^K * max(1, max_s (x/(2 pi s))^s) with
@@ -386,8 +404,18 @@ class LMarkovType(TypeDescriptor):
         )
         return trail_graph(matrix, gram_rank(self.start, d), n - self.ell)
 
+    @cached_property
+    def size(self) -> int:
+        """The BEST count of the class, at its word length l + sum of counts."""
+        return trajectory_count(self, self.ell + sum(self.row_sums))
+
     def class_size(self, n: int) -> int:
-        return trajectory_count(self, n)
+        steps = sum(self.row_sums)
+        if n != self.ell + steps:
+            raise InconsistentDescriptor(
+                f"transition counts sum to {steps}, expected {n - self.ell}"
+            )
+        return self.size
 
     def _word(self, trajectory: tuple[int, ...]) -> Word:
         return self.start + tuple(v % self.d for v in trajectory[1:])
@@ -529,6 +557,48 @@ def gram_rank(gram: tuple[int, ...], d: int) -> int:
     return rank
 
 
+def _de_bruijn_tables(
+    out: tuple[int, ...], into: list[int], d: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every gram -> next-letter count tensor whose row g sums to out[g] and
+    whose column v, fed by the cells (g, z) with (g d + z) mod d^l = v, sums
+    to into[v] (the totals of ``out`` and ``into`` agree).
+
+    Row g fills the consecutive columns g d mod d^l onward, each cell taking
+    at most what its column still lacks; as every row is filled exactly, no
+    column ends short, so every table yielded meets both margins.
+    """
+    m = len(out)
+    lack = list(into)
+
+    def rows_from(g: int):
+        if g == m:
+            yield ()
+            return
+        base = g * d % m
+        for row in _bounded_compositions(out[g], lack[base : base + d]):
+            for z, x in enumerate(row):
+                lack[base + z] -= x
+            for rest in rows_from(g + 1):
+                yield (row,) + rest
+            for z, x in enumerate(row):
+                lack[base + z] += x
+
+    return rows_from(0)
+
+
+def _bounded_compositions(total: int, caps: list[int]) -> Iterator[tuple[int, ...]]:
+    """All tuples x summing to ``total`` with 0 <= x_i <= caps[i]."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    room = sum(caps[1:])
+    for first in range(max(0, total - room), min(total, caps[0]) + 1):
+        for rest in _bounded_compositions(total - first, caps[1:]):
+            yield (first,) + rest
+
+
 # -- typing words --------------------------------------------------------------
 
 
@@ -655,8 +725,9 @@ def enumerate_types(
     Raises CapExceeded, before the enumeration, when the relation has more
     candidate types than ``cap``: C(n+d-1, d-1) compositions for
     exchangeability, d^l C(n-l+d^(l+1)-1, d^(l+1)-1) start grams times count
-    tensors for l-Markov, and the product of the factors' class counts for a
-    Cartesian product.
+    tensors for l-Markov (a bound: only the tensors whose degrees admit a
+    trail are enumerated), and the product of the factors' class counts for
+    a Cartesian product.
     """
     if n < min_word_length(relation):
         raise WordTooShort(f"relation needs n >= {min_word_length(relation)}")

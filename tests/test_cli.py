@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from exkit import cli, serialize
+from exkit import cli, relations, serialize
 from exkit.cli import main
 from exkit.core import Alphabet, make_distribution, tensor_power, uniform
 from exkit.games import chsh_game
@@ -214,6 +214,20 @@ def test_classes_computes_each_class_once(fmt, golden, tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+def test_classes_counts_each_class_once(tmp_path, monkeypatch):
+    # One BEST count per enumeration candidate; alpha_tight reuses it.
+    counted = []
+    original = relations.trajectory_count
+    monkeypatch.setattr(
+        relations, "trajectory_count", lambda *args: counted.append(args) or original(*args)
+    )
+    out = tmp_path / "classes.json"
+    code = main(["classes", "--relation", "markov", "--d", "2", "--n", "4", "--output", str(out)])
+    assert code == 0
+    assert len(counted) == len(list(MARKOV.candidates(Alphabet(2), 4)))
+    assert out.read_bytes() == (GOLDEN / "classes_markov_d2_n4.json").read_bytes()
+
+
 @pytest.fixture()
 def joint_file(tmp_path):
     path = tmp_path / "joint.json"
@@ -237,6 +251,15 @@ def joint_file(tmp_path):
      "--alpha-mode analytic"),
     (["conditional", str(GOLDEN / "conditional_2x2_n3.json"), "--verify", "--relation", "markov"],
      "--relation markov"),
+    (["certify", str(GOLDEN / "certify_markov_d2_n4.json"), "--verify", "--conditional"],
+     "--conditional"),
+    (["certify", str(GOLDEN / "certify_markov_d2_n4.json"), "--verify", "--ell", "3"], "--ell 3"),
+    (["certify", str(GOLDEN / "certify_markov_d2_n4.json"), "--verify", "--precision-bits", "256"],
+     "--precision-bits 256"),
+    (["conditional", str(GOLDEN / "conditional_2x2_n3.json"), "--verify", "--precision-bits", "256"],
+     "--precision-bits 256"),
+    (["conditional", str(GOLDEN / "certify_markov_d2_n4.json"), "--verify"], "conditional --verify"),
+    (["conditional", "{joint}", "--ell", "3"], "--ell 3"),
 ])
 def test_conditional_rejects_contradictory_flags(argv, flag, joint_file, capsys):
     code = main([a.replace("{joint}", joint_file) for a in argv])

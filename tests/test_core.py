@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from exkit.core import (
     make_distribution,
     marginal,
     pointwise_dominates,
+    project_word,
     tensor_power,
     uniform,
 )
@@ -135,6 +137,16 @@ def test_alphabet_pack_unpack_round_trip():
         assert a.pack(a.unpack(letter)) == letter
     with pytest.raises(ValueError):
         Alphabet(5, (2, 2))
+
+
+@pytest.mark.parametrize("factors", [(2, 2), (3, 2), (2, 3, 2)])
+def test_project_word_reads_the_unpacked_factor(factors):
+    a = Alphabet(math.prod(factors), factors)
+    word = tuple(range(a.size))
+    for factor in range(len(factors)):
+        assert project_word(a, word, factor) == tuple(a.unpack(z)[factor] for z in word)
+    with pytest.raises(NotFactored):
+        project_word(Alphabet(4), (0, 1), 0)
 
 
 def test_zero_length_words_rejected():

@@ -1,8 +1,8 @@
 """Property-based checks of the class combinatorics against brute force.
 
-Relations are drawn from exchangeable, Markov, l-Markov(1), l-Markov(2) and
-exchangeable x Markov with small alphabets and word lengths, so that every
-d^n word can be grouped by its descriptor as an oracle.
+Relations are drawn from exchangeable, Markov, l-Markov(1), l-Markov(2),
+l-Markov(3) and exchangeable x Markov with small alphabets and word lengths,
+so that every d^n word can be grouped by its descriptor as an oracle.
 """
 
 from fractions import Fraction
@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from exkit import serialize
 from exkit.core import Alphabet
+from exkit.graphs import transition_graph
 from exkit.reduction import pi_value
 from exkit.relations import (
     EXCHANGEABLE,
@@ -78,6 +79,26 @@ def test_json_round_trips(case):
         obj = serialize.descriptor_to_json(descr)
         assert serialize.descriptor_from_json(obj) == descr
         assert serialize.descriptor_to_json(serialize.descriptor_from_json(obj)) == obj
+
+
+@st.composite
+def markov_family_cases(draw):
+    """(relation, alphabet, n) for Markov and l-Markov(1..3) with d^n <= 243."""
+    relation = draw(st.sampled_from([MARKOV, LMarkov(1), LMarkov(2), LMarkov(3)]))
+    d = draw(st.integers(1, 3))
+    longest = {1: 6, 2: 7, 3: 5}[d]
+    return relation, Alphabet(d), draw(st.integers(relation.min_word_length(), longest))
+
+
+@PROPERTY_SETTINGS
+@given(markov_family_cases())
+def test_candidates_are_distinct_feasible_and_cover_every_class(case):
+    relation, alphabet, n = case
+    candidates = list(relation.candidates(alphabet, n))
+    assert len(set(candidates)) == len(candidates) <= relation.candidate_count(alphabet, n)
+    for descr in candidates:
+        transition_graph(descr, n)  # raises NoValidEnd on unbalanced degrees
+    assert set(brute_force_index(relation, alphabet, n)) <= set(candidates)
 
 
 @PROPERTY_SETTINGS

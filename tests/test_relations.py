@@ -99,6 +99,11 @@ def test_is_nonempty_inconsistent_counts():
         is_nonempty(ExchangeableType((1, 1)), 3)
     with pytest.raises(InconsistentDescriptor):
         class_size(MarkovType(0, ((1, 1), (0, 0))), 5)
+    # Still raised once the class size is cached on the descriptor.
+    descr = MarkovType(0, ((1, 1), (0, 0)))
+    assert class_size(descr, 3) == 1
+    with pytest.raises(InconsistentDescriptor):
+        class_size(descr, 5)
 
 
 def test_class_members_paper_table():
@@ -210,7 +215,8 @@ def test_descriptors_are_hashable_and_enumeration_deterministic():
 
 
 def test_cap_bounds_candidates_before_enumerating(monkeypatch):
-    # Markov d=3, n=6 has 3 * C(13, 8) = 3861 candidate types (414 classes).
+    # Markov d=3, n=6 has 3 * C(13, 8) = 3861 candidate types (414 classes);
+    # the enumeration sizes only the 633 whose degrees admit a trail.
     sized = []
     original = relations.class_size
     monkeypatch.setattr(relations, "class_size", lambda *args: sized.append(args) or original(*args))
@@ -220,7 +226,18 @@ def test_cap_bounds_candidates_before_enumerating(monkeypatch):
         enumerate_types(MARKOV, A3, 6, cap=3860)
     assert sized == []
     assert enumerate_types(MARKOV, A3, 6, cap=3861).N == 414
-    assert len(sized) == 3861
+    assert len(sized) == 633
+
+
+@pytest.mark.parametrize("relation, d, n, count, bound", [
+    (MARKOV, 3, 6, 633, 3861),
+    (LMarkov(2), 2, 8, 388, 6864),
+])
+def test_candidates_are_the_flow_feasible_tensors(relation, d, n, count, bound):
+    alphabet = Alphabet(d)
+    candidates = list(relation.candidates(alphabet, n))
+    assert len(candidates) == count
+    assert relation.candidate_count(alphabet, n) == bound
 
 
 def test_cap_bounds_exchangeable_and_product_work():
