@@ -202,10 +202,13 @@ def _pretty(payload: dict, indent: int = 0) -> str:
 def cmd_classes(args) -> int:
     relation = _relation_from_args(args)
     alphabet = _alphabet_from_args(args)
+    if args.filter_word:
+        word = serialize.parse_word(args.filter_word, alphabet.size)
+        if len(word) != args.n:
+            raise ExkitError(f"--filter-word has length {len(word)} but --n is {args.n}")
     index = enumerate_types(relation, alphabet, args.n, args.enum_cap)
     items = index.items
     if args.filter_word:
-        word = serialize.parse_word(args.filter_word, alphabet.size)
         descr = type_of(word, relation, alphabet)
         items = tuple((t, s) for t, s in items if t == descr)
     classes = [
@@ -412,6 +415,8 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_game(args) -> int:
+    if args.kernel is not None and args.mode == "parallel":
+        raise ExkitError("--kernel conflicts with --mode parallel")
     with open(args.file) as fh:
         game = serialize.game_from_json(json.load(fh))
     bits = _bits(args)

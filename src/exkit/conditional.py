@@ -16,6 +16,7 @@ counterexample.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -33,15 +34,24 @@ from .core import (
 )
 from .errors import NotConditionallyExchangeable, NotExchangeable, NotFactored
 from .intervals import DEFAULT_BITS, IntervalScalar, run_with_escalation
-from .reduction import alpha_analytic, check_exchangeable, AlphaBound
+from .reduction import (
+    AlphaBound,
+    Decomposition,
+    alpha_analytic,
+    check_exchangeable,
+    decompose,
+    empirical_pi,
+    triage,
+    uniform_class_dist,
+)
 from .relations import (
     EXCHANGEABLE,
     MARKOV,
     ExchangeableType,
     Relation,
+    class_members,
     class_size,
     enumerate_types,
-    representative,
     type_of,
 )
 
@@ -116,6 +126,17 @@ def marginal_type(joint_type: ExchangeableType, joint_alphabet: Alphabet) -> Exc
     return ExchangeableType(tuple(counts))
 
 
+def class_marginal(decomp: Decomposition) -> dict[ExchangeableType, Fraction]:
+    """P_X on each X-class sigma, from an exchangeable joint's class table: the
+    X-marginal of Q_c is uniform on sigma_c = ``marginal_type`` of c (the
+    marginal lemma), so P_X = M_sigma / |sigma| on sigma, with M_sigma the
+    sum of mu_c over the c with sigma_c = sigma."""
+    mass: Counter[ExchangeableType] = Counter()
+    for descr, mu in zip(decomp.index.descriptors(), decomp.weights):
+        mass[marginal_type(descr, decomp.index.alphabet)] += mu
+    return {sigma: m / class_size(sigma, decomp.index.n) for sigma, m in mass.items()}
+
+
 @dataclass(frozen=True)
 class CounterexampleReport:
     """The Markov marginal counterexample of a Dirac joint class whose
@@ -147,8 +168,6 @@ def markov_marginal_counterexample() -> CounterexampleReport:
     x_word = project_word(joint, word, X_FACTOR)
     x_alpha = Alphabet(2)
     x_type = type_of(x_word, MARKOV, x_alpha)
-    from .relations import class_members
-
     members = tuple(sorted(class_members(x_type, 4)))
     masses = tuple(q_x(m) for m in members)
     is_invariant = len(set(masses)) == 1
@@ -156,8 +175,6 @@ def markov_marginal_counterexample() -> CounterexampleReport:
     exch_ok = True
     for n in range(1, 5):
         for descr, _ in enumerate_types(EXCHANGEABLE, joint, n).items:
-            from .reduction import uniform_class_dist
-
             q = uniform_class_dist(descr, n, alphabet=joint)
             expected_type = marginal_type(descr, joint)
             got = marginal(q, X_FACTOR)
@@ -184,8 +201,6 @@ def empirical_alpha_prime(
     for Markov-family types the value is reported as observed, with no claim
     about its growth in n.
     """
-    from .reduction import empirical_pi, uniform_class_dist
-
     q_x = marginal(uniform_class_dist(descriptor, n, cap, alphabet=joint_alphabet), X_FACTOR)
     pi_x = marginal(empirical_pi(descriptor, n, cap, alphabet=joint_alphabet), X_FACTOR)
     return max(pi_x(x) / q_x(x) for x in q_x.support())
@@ -195,7 +210,7 @@ def empirical_alpha_prime(
 class ConditionalClassRecord:
     descriptor: ExchangeableType
     verdict: str  # "holds" | "fails" | "inconclusive" | "unsupported"
-    rhs_sum: Fraction  # sum_k pi_k(a|x) at the class representative
+    rhs_sum: Fraction  # sum_k pi_k(a|x) on the class
     alpha_prime_used: Fraction
     alpha_prime_tight: Fraction  # class probability of the X-marginal, <= 1
 
@@ -232,23 +247,19 @@ def verify_conditional_reduction(
     """Certify P(a|x) <= N alpha(n) alpha'(n) sum_k (1/N) pi_k(a|x) per class.
 
     Exchangeable relation only.  Both sides are constant on joint classes, so
-    one representative (a, x) per class is checked; inputs x outside the
-    support of P_X are marked unsupported (the inequality is vacuous there).
-    The right-hand side never depends on P.
+    each class is checked once, from P's class table; classes whose inputs x
+    lie outside the support of P_X are marked unsupported (the inequality is
+    vacuous there).  The right-hand side never depends on P.
     """
     if isinstance(p, ConditionalDistribution):
         p = lift_conditional(p, EXCHANGEABLE, cap)
-    check_exchangeable(p, EXCHANGEABLE, cap)
-    joint_alpha = p.alphabet
-    a_alpha, x_alpha = _split_alphabet(joint_alpha)
+    a_alpha, x_alpha = _split_alphabet(p.alphabet)
     n = p.n
-    index = enumerate_types(EXCHANGEABLE, joint_alpha, n, cap)
-    descriptors = index.descriptors()
-    reps = [representative(d, n) for d in descriptors]
-    x_reps = [project_word(joint_alpha, rep, X_FACTOR) for rep in reps]
+    decomp = decompose(p, EXCHANGEABLE, cap)
+    descriptors = decomp.index.descriptors()
 
     # X-marginal empirical types sigma_k of each pi_k (exact rationals).
-    sigma = [marginal_type(d, joint_alpha) for d in descriptors]
+    sigma = [marginal_type(d, p.alphabet) for d in descriptors]
 
     # pi_k(a|x) = pi_k(c) / sigma_k(x_c).  Both are integer products over
     # n^n, so each term is prod_z t_{k,z}^t_{c,z} / prod_x s_{k,x}^s_{c,x};
@@ -271,39 +282,29 @@ def verify_conditional_reduction(
     # for exchangeability; the certificate uses the valid constant 1.
     alpha_prime_tight = [class_size(x_type, n) * x_type.pi_at(x_type) for x_type in sigma]
 
-    p_x = marginal(p, X_FACTOR)
+    p_x = class_marginal(decomp)
 
     def attempt(bits: int) -> ConditionalCertificate:
-        analytic = alpha_analytic(EXCHANGEABLE, n, joint_alpha, bits)
-        records = []
-        n_fail = n_open = 0
-        for c, descr in enumerate(descriptors):
-            if p_x(x_reps[c]) == 0:
-                verdict = "unsupported"
-            else:
-                lhs = p(reps[c]) / p_x(x_reps[c])
-                rhs = analytic.value * rhs_sums[c]
-                ok = rhs.certainly_ge(lhs)
-                verdict = "holds" if ok else ("fails" if ok is False else "inconclusive")
-                n_fail += verdict == "fails"
-                n_open += verdict == "inconclusive"
-            records.append(
-                ConditionalClassRecord(
-                    descriptor=descr,
-                    verdict=verdict,
-                    rhs_sum=rhs_sums[c],
-                    alpha_prime_used=ONE,
-                    alpha_prime_tight=alpha_prime_tight[c],
-                )
-            )
+        analytic = alpha_analytic(EXCHANGEABLE, n, p.alphabet, bits)
+        # LHS of class c: P(a|x) = (mu_c/|c|) / P_X(x_c); none where P_X(x_c) = 0.
+        checks = [
+            (analytic.value * rhs).certainly_ge(value / p_x[s]) if p_x[s] else "unsupported"
+            for value, s, rhs in zip(decomp.values, sigma, rhs_sums)
+        ]
+        verdicts, overall = triage(checks)
         return ConditionalCertificate(
             a_size=a_alpha.size,
             x_size=x_alpha.size,
             n=n,
-            verdict="fails" if n_fail else ("inconclusive" if n_open else "holds"),
+            verdict=overall,
             alpha=analytic,
-            prefactor=analytic.value * index.N,
-            records=tuple(records),
+            prefactor=analytic.value * decomp.index.N,
+            records=tuple(
+                ConditionalClassRecord(descr, verdict, rhs_sum, ONE, tight)
+                for descr, verdict, rhs_sum, tight in zip(
+                    descriptors, verdicts, rhs_sums, alpha_prime_tight
+                )
+            ),
             bits=bits,
         )
 

@@ -20,15 +20,8 @@ from typing import Mapping, Optional
 from .core import Alphabet, DEFAULT_ENUM_CAP, FiniteDistribution, Word, ZERO, ONE
 from .errors import BadParams, CapExceeded, DimensionMismatch, KernelNotStationary
 from .intervals import DEFAULT_BITS, IntervalScalar
-from .reduction import alpha_analytic, alpha_tight, check_exchangeable, fidelity_sq_from_pairs
-from .relations import (
-    EXCHANGEABLE,
-    MARKOV,
-    Relation,
-    enumerate_types,
-    representative,
-    type_of,
-)
+from .reduction import alpha_analytic, alpha_tight, decompose
+from .relations import EXCHANGEABLE, MARKOV, Relation, type_of
 
 
 @dataclass(frozen=True)
@@ -402,12 +395,8 @@ def definetti_upper_bound(
 
     alphabet = _round_alphabet(game)
     w = joint_weight(game, repeated, strategy, n)
-    check_exchangeable(w, relation, cap)  # raises NotExchangeable with witness
-
-    index = enumerate_types(relation, alphabet, n, cap)
-    descriptors = index.descriptors()
-    sizes = [size for _, size in index.items]
-    w_values = [w(representative(d, n)) for d in descriptors]
+    decomp = decompose(w, relation, cap)  # raises NotExchangeable with witness
+    descriptors = decomp.index.descriptors()
 
     predicate_letters = frozenset(
         alphabet.pack(
@@ -431,15 +420,9 @@ def definetti_upper_bound(
             for word in itertools.product(sorted(predicate_letters), repeat=n)
         )
 
-    # F(W, pi_k) sums over supp W only.
-    support = [c for c, wv in enumerate(w_values) if wv]
     rows = []
     bound = IntervalScalar.exact(0, bits)
-    for descr in descriptors:
-        fid = fidelity_sq_from_pairs(
-            [(w_values[c] * descr.pi_at(descriptors[c]), sizes[c]) for c in support],
-            bits,
-        )
+    for descr, fid in zip(descriptors, decomp.fidelities_sq(bits)):
         if mode == "parallel":
             single = sum(
                 (Fraction(descr.counts[z], n) for z in predicate_letters), ZERO
@@ -463,9 +446,9 @@ def definetti_upper_bound(
         winning=winning_probability(repeated, strategy),
         alpha_certified=alpha_cert,
         prefactor_certified=IntervalScalar.exact(
-            index.N * alpha_cert * alpha_cert, bits
+            decomp.index.N * alpha_cert * alpha_cert, bits
         ),
-        prefactor_analytic=analytic.squared * index.N,
+        prefactor_analytic=analytic.squared * decomp.index.N,
         degree=analytic.degree,
         rows=tuple(rows),
     )

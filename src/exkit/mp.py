@@ -21,6 +21,7 @@ from typing import Optional
 from .core import Alphabet, DEFAULT_ENUM_CAP, FiniteDistribution, Word, ZERO
 from .errors import BadParams
 from .intervals import DEFAULT_BITS, IntervalScalar
+from .reduction import alpha_tight
 from .relations import ExchangeableType, compositions, class_members, class_size
 
 
@@ -122,8 +123,6 @@ def cone_constants(t: tuple[int, ...], n: int, bits: int = DEFAULT_BITS) -> dict
     """Both certified routes placing Q_t in the cone of i.i.d. mixtures:
     the alpha route (Q_t <= alpha * pi_t^(x)n) and the beta route
     (Q_t <= lambda_tt^-1 MP(Q_t)); reports which constant is smaller."""
-    from .reduction import alpha_tight
-
     descr = ExchangeableType(tuple(t))
     alpha = alpha_tight(descr, n)
     lam = lambda_matrix(n, len(t))

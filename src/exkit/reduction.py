@@ -7,7 +7,8 @@ The flexible reduction bounds any relation-invariant P pointwise:
 where the pi_k are the empirical i.i.d. / Markov / l-Markov comparison
 distributions of the nonempty classes and alpha(n) dominates every per-class
 ratio max Q_k/pi_k.  Both sides are constant on classes, so the certificate
-checks one representative per class: an N-sized check instead of d^n.
+reads P only through its class weights (``decompose``) and checks each class
+once: an N-sized check instead of d^n.
 
 P and pi values are exact rationals; fidelities and alpha(n) are carried as
 outward-rounded intervals, so each per-class verdict is certified.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .core import (
@@ -37,13 +39,8 @@ from .relations import (
     class_members,
     class_size,
     enumerate_types,
-    representative,
     type_of,
 )
-
-
-def descriptor_alphabet(descriptor: TypeDescriptor) -> Alphabet:
-    return descriptor.alphabet()
 
 
 def uniform_class_dist(
@@ -58,7 +55,7 @@ def uniform_class_dist(
         raise EmptyClass(f"{descriptor} is realized by no word of length {n}")
     members = class_members(descriptor, n, cap)
     p = Fraction(1, size)
-    alphabet = alphabet or descriptor_alphabet(descriptor)
+    alphabet = alphabet or descriptor.alphabet()
     return FiniteDistribution(alphabet, n, {w: p for w in members})
 
 
@@ -82,7 +79,7 @@ def empirical_pi(
     """Materialized pi_k over V^n (sparse on its support)."""
     if class_size(descriptor, n) == 0:
         raise EmptyClass(f"{descriptor} is realized by no word of length {n}")
-    alphabet = alphabet or descriptor_alphabet(descriptor)
+    alphabet = alphabet or descriptor.alphabet()
     entries = {}
     for word in alphabet.words(n, cap):
         v = pi_value(descriptor, word, n)
@@ -234,11 +231,37 @@ def fidelity_squared(
 
 @dataclass(frozen=True)
 class Decomposition:
-    """P = sum_k mu_k Q_k with mu_k = |C_k| * P(representative of C_k)."""
+    """P = sum_k mu_k Q_k with mu_k = |C_k| P(C_k): the class table every
+    certifier reads, as both sides of each reduction are constant on classes."""
 
     index: ClassIndex
     weights: tuple[Fraction, ...]
-    representatives: tuple[Word, ...]
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """P on each class, mu_k / |C_k|."""
+        return tuple(mu / size for mu, (_, size) in zip(self.weights, self.index.items))
+
+    @cached_property
+    def support(self) -> tuple[int, ...]:
+        return tuple(c for c, mu in enumerate(self.weights) if mu)
+
+    @cached_property
+    def pi_table(self) -> list[list[Fraction]]:
+        """pi_k(c) for every class k and every supported class c (columns in
+        ``support`` order): a fidelity with P sums over supp P only."""
+        descriptors = self.index.descriptors()
+        return [[k.pi_at(descriptors[c]) for c in self.support] for k in descriptors]
+
+    def fidelities_sq(self, bits: int = DEFAULT_BITS) -> list[IntervalScalar]:
+        """F(P, pi_k)^2 for every class k."""
+        sizes = [self.index.items[c][1] for c in self.support]
+        return [
+            fidelity_sq_from_pairs(
+                [(self.values[c] * pv, size) for c, pv, size in zip(self.support, row, sizes)], bits
+            )
+            for row in self.pi_table
+        ]
 
     def remix(self, cap: int = DEFAULT_ENUM_CAP) -> FiniteDistribution:
         entries: dict[Word, Fraction] = {}
@@ -253,8 +276,9 @@ class Decomposition:
 
 def check_exchangeable(
     p: FiniteDistribution, relation: Relation, cap: int = DEFAULT_ENUM_CAP
-) -> None:
-    """Raise NotExchangeable with a witness pair unless P is constant on classes."""
+) -> dict[TypeDescriptor, Fraction]:
+    """Raise NotExchangeable with a witness pair unless P is constant on
+    classes; return P's value on each class of its support."""
     groups: dict[TypeDescriptor, list[Word]] = {}
     for word in p.support():
         groups.setdefault(type_of(word, relation, p.alphabet), []).append(word)
@@ -273,18 +297,30 @@ def check_exchangeable(
                 f"P({words[0]}) = {value} but P({missing}) = 0 on the same class",
                 witness=(words[0], missing),
             )
+    return {descr: p(words[0]) for descr, words in groups.items()}
 
 
 def decompose(
     p: FiniteDistribution, relation: Relation, cap: int = DEFAULT_ENUM_CAP
 ) -> Decomposition:
-    """Unique simplex weights of P against the extreme class distributions."""
-    check_exchangeable(p, relation, cap)
+    """Unique simplex weights of P against the extreme class distributions,
+    read off the grouping of supp P that the invariance check builds."""
+    values = check_exchangeable(p, relation, cap)
     index = enumerate_types(relation, p.alphabet, p.n, cap)
-    reps = tuple(representative(descr, p.n) for descr, _ in index.items)
-    weights = tuple(size * p(rep) for (descr, size), rep in zip(index.items, reps))
+    weights = tuple(size * values.get(descr, ZERO) for descr, size in index.items)
     assert sum(weights, ZERO) == ONE
-    return Decomposition(index, weights, reps)
+    return Decomposition(index, weights)
+
+
+_VERDICTS = {True: "holds", False: "fails", None: "inconclusive"}
+
+
+def triage(checks: Sequence[bool | None | str]) -> tuple[list[str], str]:
+    """Per-class verdicts and their roll-up: "fails" over "inconclusive" over
+    "holds".  A check is ``certainly_ge``'s outcome (None: undecided at this
+    precision) or, for a class with nothing to compare, its verdict."""
+    verdicts = [c if isinstance(c, str) else _VERDICTS[c] for c in checks]
+    return verdicts, next((v for v in ("fails", "inconclusive") if v in verdicts), "holds")
 
 
 # -- flexible reduction certificate -------------------------------------------------
@@ -339,18 +375,7 @@ def verify_flexible_reduction(
     decomp = decompose(p, relation, cap)
     index = decomp.index
     n, d = p.n, p.alphabet.size
-    descriptors = index.descriptors()
-    sizes = [size for _, size in index.items]
-    p_values = [mu / size for mu, size in zip(decomp.weights, sizes)]
-
-    # A class with P = 0 holds at once (its LHS is 0), and the fidelities sum
-    # over supp P only, so pi_k is tabulated on the supported classes alone.
-    support = [c for c, pv in enumerate(p_values) if pv]
-    column = {c: j for j, c in enumerate(support)}
-    pi_table = [
-        [k_descr.pi_at(descriptors[c]) for c in support] for k_descr in descriptors
-    ]
-    tight = [alpha_tight(descr, n) for descr in descriptors]
+    tight = [alpha_tight(descr, n) for descr, _ in index.items]
     tight_max = max(tight)
 
     def attempt(bits: int) -> ReductionCertificate:
@@ -360,47 +385,36 @@ def verify_flexible_reduction(
             if alpha_mode == "analytic"
             else IntervalScalar.exact(tight_max, bits) ** 2
         )
-        fid_sq = [
-            fidelity_sq_from_pairs(
-                [(p_values[c] * pv, sizes[c]) for c, pv in zip(support, row)], bits
-            )
-            for row in pi_table
-        ]
-        records = []
-        n_fail = n_open = 0
-        for c, descr in enumerate(descriptors):
-            verdict = "holds"
-            if c in column:
-                j = column[c]
-                rhs = IntervalScalar.exact(0, bits)
-                for k in range(index.N):
-                    if pi_table[k][j]:
-                        rhs = rhs + fid_sq[k] * pi_table[k][j]
-                ok = (rhs * alpha_sq).certainly_ge(p_values[c])
-                verdict = "holds" if ok else ("fails" if ok is False else "inconclusive")
-            n_fail += verdict == "fails"
-            n_open += verdict == "inconclusive"
-            records.append(
-                ClassRecord(
-                    descriptor=descr,
-                    size=sizes[c],
-                    tight_ratio=tight[c],
-                    fidelity_sq=fid_sq[c],
-                    verdict=verdict,
-                    tight_within_analytic=bool(
-                        analytic.value.certainly_ge(tight[c])
-                    ),
-                )
-            )
+        fid_sq = decomp.fidelities_sq(bits)
+        # A class with P = 0 holds at once (its LHS is 0); the others are the
+        # columns of the pi table.
+        checks: list = ["holds"] * index.N
+        for j, c in enumerate(decomp.support):
+            rhs = IntervalScalar.exact(0, bits)
+            for k, row in enumerate(decomp.pi_table):
+                if row[j]:
+                    rhs = rhs + fid_sq[k] * row[j]
+            checks[c] = (rhs * alpha_sq).certainly_ge(decomp.values[c])
+        verdicts, overall = triage(checks)
         return ReductionCertificate(
             relation=relation,
             n=n,
             d=d,
-            verdict="fails" if n_fail else ("inconclusive" if n_open else "holds"),
+            verdict=overall,
             alpha=analytic,
             alpha_tight_max=tight_max,
             prefactor=alpha_sq * index.N,
-            records=tuple(records),
+            records=tuple(
+                ClassRecord(
+                    descriptor=descr,
+                    size=size,
+                    tight_ratio=tight[c],
+                    fidelity_sq=fid_sq[c],
+                    verdict=verdicts[c],
+                    tight_within_analytic=bool(analytic.value.certainly_ge(tight[c])),
+                )
+                for c, (descr, size) in enumerate(index.items)
+            ),
             weights=decomp.weights,
             bits=bits,
             alpha_mode=alpha_mode,

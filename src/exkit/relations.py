@@ -589,6 +589,9 @@ def _de_bruijn_tables(
 
 def _bounded_compositions(total: int, caps: list[int]) -> Iterator[tuple[int, ...]]:
     """All tuples x summing to ``total`` with 0 <= x_i <= caps[i]."""
+    if total == 0:  # the caps are never negative, so only the zero tuple
+        yield (0,) * len(caps)
+        return
     if len(caps) == 1:
         if total <= caps[0]:
             yield (total,)

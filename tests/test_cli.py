@@ -8,7 +8,7 @@ import pytest
 from exkit import cli, relations, serialize
 from exkit.cli import main
 from exkit.core import Alphabet, make_distribution, tensor_power, uniform
-from exkit.games import chsh_game
+from exkit.games import chsh_game, iid_kernel
 from exkit.relations import MARKOV, enumerate_types
 
 
@@ -35,6 +35,16 @@ def test_classes_filter_word_paper_example(capsys):
     payload = json.loads(out)
     assert len(payload["classes"]) == 1
     assert payload["classes"][0]["size"] == 12
+
+
+@pytest.mark.parametrize("n, word", [("4", "12"), ("3", "1")])
+def test_classes_filter_word_length_must_match_n(n, word, capsys):
+    code = main(["classes", "--relation", "markov", "--d", "2", "--n", n, "--filter-word", word])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    detail = json.loads(captured.err)["detail"]
+    assert f"length {len(word)}" in detail and f"--n is {n}" in detail
 
 
 def test_classes_exchangeable_d2_n3(capsys):
@@ -154,6 +164,23 @@ def test_game_sequential_iid_matches_parallel(chsh_file, capsys):
     assert code == 0
     assert payload["repeated_value"] == "5/8"
     assert payload["bound_ge_winning"] is True
+
+
+@pytest.mark.parametrize("kernel", ["stationary", "non-stationary", "missing"])
+@pytest.mark.parametrize("mode", [[], ["--mode", "parallel"]])
+def test_game_kernel_conflicts_with_parallel_mode(kernel, mode, chsh_file, tmp_path, capsys):
+    # The parallel game has no kernel, so a given one is an error, whatever it holds.
+    path = tmp_path / "kernel.json"
+    if kernel == "stationary":
+        path.write_text(serialize.dumps(serialize.kernel_to_json(iid_kernel(chsh_game()))))
+    elif kernel == "non-stationary":
+        rows = {f"{x},{y}": {"1,1": "1/1"} for x in (1, 2) for y in (1, 2)}
+        path.write_text(json.dumps({"rows": rows}))
+    code = main(["game", chsh_file, "--n", "2", "--kernel", str(path)] + mode)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert json.loads(captured.err)["detail"] == "--kernel conflicts with --mode parallel"
 
 
 def test_cap_exceeded_exit_code(chsh_file, capsys):

@@ -10,9 +10,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from exkit import serialize
-from exkit.core import Alphabet
+from exkit.conditional import X_FACTOR, class_marginal, marginal_type
+from exkit.core import Alphabet, FiniteDistribution, marginal
 from exkit.graphs import transition_graph
-from exkit.reduction import pi_value
+from exkit.reduction import decompose, pi_value
 from exkit.relations import (
     EXCHANGEABLE,
     MARKOV,
@@ -159,3 +160,34 @@ def test_pi_at_uniform_row_for_a_gram_k_never_visits():
     c = type_of((0, 1, 1), MARKOV, Alphabet(2))
     # 0 -> 1 with probability 1/2; k never leaves 1, so 1 -> 1 gets 1/2.
     assert k.pi_at(c) == pi_value(k, (0, 1, 1), 3) == Fraction(1, 4)
+
+
+@st.composite
+def exchangeable_joints(draw):
+    """An exchangeable joint on (A x X)^n with drawn class weights; a drawn
+    set of X-classes (never all of them) carries no mass at all."""
+    a, x = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4 if a * x <= 4 else 3))
+    joint = Alphabet(a * x, (a, x))
+    index = enumerate_types(EXCHANGEABLE, joint, n)
+    sigma = [marginal_type(descr, joint) for descr in index.descriptors()]
+    x_classes = sorted(set(sigma), key=lambda t: t.counts)
+    empty = draw(st.sets(st.sampled_from(x_classes), max_size=len(x_classes) - 1))
+    weights = [0 if s in empty else draw(st.integers(0, 3)) for s in sigma]
+    if not any(weights):
+        weights[next(c for c, s in enumerate(sigma) if s not in empty)] = 1
+    entries = {}
+    for (descr, size), w in zip(index.items, weights):
+        for word in class_members(descr, n):
+            entries[word] = Fraction(w, sum(weights) * size)
+    return FiniteDistribution(joint, n, {w: v for w, v in entries.items() if v})
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(exchangeable_joints())
+def test_class_marginal_is_the_word_level_marginal(p):
+    by_class = class_marginal(decompose(p, EXCHANGEABLE))
+    p_x = marginal(p, X_FACTOR)
+    x_alpha = Alphabet(p.alphabet.factors[X_FACTOR])
+    for x in x_alpha.words(p.n):
+        assert by_class[type_of(x, EXCHANGEABLE, x_alpha)] == p_x(x)
