@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -93,6 +94,23 @@ def lift_conditional(
     constant across equivalent (a,x) pairs or its input table is not closed
     under the X-projection of the relation.
     """
+    lifted = _lifted_joint(pc)
+    with _conditional_witness():
+        check_exchangeable(lifted, relation, cap)
+    return lifted
+
+
+@contextmanager
+def _conditional_witness():
+    """Report a lifted joint's invariance failure as the conditional's."""
+    try:
+        yield
+    except NotExchangeable as err:
+        raise NotConditionallyExchangeable(str(err), witness=err.witness) from None
+
+
+def _lifted_joint(pc: ConditionalDistribution) -> FiniteDistribution:
+    """``lift_conditional``'s joint, before its invariance check."""
     inputs = sorted(pc.inputs())
     if not inputs:
         raise NotConditionallyExchangeable("empty conditional table")
@@ -108,12 +126,7 @@ def lift_conditional(
                 joint.pack((a, x)) for a, x in zip(a_word, x_word)
             )
             entries[packed] = weight * value
-    lifted = FiniteDistribution(joint, pc.n, entries)
-    try:
-        check_exchangeable(lifted, relation, cap)
-    except NotExchangeable as err:
-        raise NotConditionallyExchangeable(str(err), witness=err.witness) from None
-    return lifted
+    return FiniteDistribution(joint, pc.n, entries)
 
 
 def marginal_type(joint_type: ExchangeableType, joint_alphabet: Alphabet) -> ExchangeableType:
@@ -249,13 +262,18 @@ def verify_conditional_reduction(
     Exchangeable relation only.  Both sides are constant on joint classes, so
     each class is checked once, from P's class table; classes whose inputs x
     lie outside the support of P_X are marked unsupported (the inequality is
-    vacuous there).  The right-hand side never depends on P.
+    vacuous there).  The right-hand side never depends on P.  A conditional
+    input is lifted as by ``lift_conditional`` and checked once, by
+    ``decompose``.
     """
     if isinstance(p, ConditionalDistribution):
-        p = lift_conditional(p, EXCHANGEABLE, cap)
+        p = _lifted_joint(p)
+        with _conditional_witness():
+            decomp = decompose(p, EXCHANGEABLE, cap)
+    else:
+        decomp = decompose(p, EXCHANGEABLE, cap)
     a_alpha, x_alpha = _split_alphabet(p.alphabet)
     n = p.n
-    decomp = decompose(p, EXCHANGEABLE, cap)
     descriptors = decomp.index.descriptors()
 
     # X-marginal empirical types sigma_k of each pi_k (exact rationals).

@@ -1,9 +1,13 @@
-"""Directed multigraphs: Eulerian structure, arborescence counts, walk oracles.
+"""Class graphs: the BEST count, arborescence counts and walk oracles.
 
 The cardinality formulas for Markov-style equivalence classes reduce to
 counting Eulerian trajectories of a small multigraph, which in turn reduces
-to counting spanning in-trees (the BEST theorem).  Everything here is exact
-integer arithmetic; determinants use fraction-free Bareiss elimination.
+to counting spanning in-trees (the BEST theorem).  A Markov-family count
+tensor already is that multigraph: gram g and letter z make an edge
+g -> (g d + z) mod d^l, so the class counts read the tensor directly.
+``DirectedMultigraph`` is the explicit graph view, for the tests, the
+oracles and serialization.  Everything here is exact integer arithmetic;
+determinants use fraction-free Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -11,9 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
-from .errors import CapExceeded, InconsistentDescriptor, NoValidEnd
+from .errors import CapExceeded, NoValidEnd
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -43,34 +46,18 @@ class DirectedMultigraph:
     def indeg(self, v: int) -> int:
         return sum(self.M[i][v] for i in range(self.m))
 
-    def degree_profile(self) -> "DegreeProfile":
-        return DegreeProfile(
-            tuple(self.outdeg(v) for v in range(self.m)),
-            tuple(self.indeg(v) for v in range(self.m)),
-        )
-
     def add_edge(self, i: int, j: int) -> "DirectedMultigraph":
         rows = [list(row) for row in self.M]
         rows[i][j] += 1
         return DirectedMultigraph(self.m, tuple(tuple(r) for r in rows))
 
-    def non_isolated(self) -> list[int]:
-        return [v for v in range(self.m) if self.outdeg(v) or self.indeg(v)]
 
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    outdeg: tuple[int, ...]
-    indeg: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sum(self.outdeg) != sum(self.indeg):
-            raise ValueError("outdegree and indegree totals differ")
-
-
-def _support_connected(g: DirectedMultigraph) -> bool:
-    """Weak connectivity of the subgraph induced by non-isolated vertices."""
-    active = g.non_isolated()
+def is_eulerian(g: DirectedMultigraph) -> bool:
+    """True iff g has an Eulerian cycle: balanced everywhere and connected
+    on its non-isolated vertices."""
+    if any(g.outdeg(v) != g.indeg(v) for v in range(g.m)):
+        return False
+    active = [v for v in range(g.m) if g.outdeg(v)]
     if not active:
         return True
     seen = {active[0]}
@@ -82,15 +69,6 @@ def _support_connected(g: DirectedMultigraph) -> bool:
                 seen.add(u)
                 stack.append(u)
     return all(v in seen for v in active)
-
-
-def is_eulerian(g: DirectedMultigraph) -> bool:
-    """True iff g has an Eulerian cycle: balanced everywhere and connected
-    on its non-isolated vertices."""
-    prof = g.degree_profile()
-    if any(o != i for o, i in zip(prof.outdeg, prof.indeg)):
-        return False
-    return _support_connected(g)
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -200,95 +178,90 @@ def eulerian_trajectory_count_bruteforce(
     return walk(start, g.M)
 
 
-def eulerian_trajectories(g: DirectedMultigraph, start: int, cap: int = 10**6) -> Iterator[tuple[int, ...]]:
-    """Yield the vertex sequences of all open walks from ``start`` consuming
-    every edge of g, in lexicographic order of successor choices."""
-    if g.edge_count > 60:
-        raise CapExceeded("edge count too large to enumerate trajectories")
-
-    def walk(cur: int, remaining: list[list[int]], prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if not any(any(row) for row in remaining):
-            yield tuple(prefix)
-            return
-        for j in range(g.m):
-            if remaining[cur][j]:
-                remaining[cur][j] -= 1
-                prefix.append(j)
-                yield from walk(j, remaining, prefix)
-                prefix.pop()
-                remaining[cur][j] += 1
-
-    yield from walk(start, [list(r) for r in g.M], [start])
-
-
 def transition_graph(descriptor, n: int):
     """Class multigraph of a Markov / l-Markov descriptor at word length n.
 
-    Returns (graph, start_vertex, end_vertex, augmented_graph) as
-    ``trail_graph`` does; vertices are the l-grams by row-major rank.
+    Returns (graph, start_vertex, end_vertex, augmented_graph), the augmented
+    graph adding one end -> start edge; vertices are the l-grams by
+    row-major rank.  Raises NoValidEnd when the degrees admit no trail.
     """
-    return descriptor.transition_graph(n)
+    descriptor.check_length(n)
+    if descriptor.end is None:
+        raise NoValidEnd("degree imbalance admits no Eulerian trajectory")
+    d, m = descriptor.d, len(descriptor.trans)
+    # Row g's successors (g d + z) mod m, z < d, are consecutive columns.
+    g = DirectedMultigraph(m, tuple(
+        (0,) * (v * d % m) + row + (0,) * (m - v * d % m - d)
+        for v, row in enumerate(descriptor.trans)
+    ))
+    start = gram_rank(descriptor.start, d)
+    return g, start, descriptor.end, g.add_edge(descriptor.end, start)
 
 
-def trail_graph(matrix: Matrix, start: int, edges: int):
-    """Multigraph of the open trails from ``start`` using every edge once.
+def gram_rank(gram: tuple[int, ...], d: int) -> int:
+    rank = 0
+    for v in gram:
+        rank = rank * d + v
+    return rank
 
-    Returns (graph, start, end, augmented_graph) where the end vertex is the
-    unique out/in-unbalanced sink (or the start when the graph is balanced)
-    and the augmented graph adds one end -> start edge, making it Eulerian
-    whenever such a trail exists.  Raises NoValidEnd when the degrees admit
-    no trail from ``start``.
+
+def in_tree_count(descriptor) -> int:
+    """Spanning in-trees toward the start gram of a Markov / l-Markov class
+    graph plus the closing edge end -> start, on the visited grams.
+
+    The minor of the out-degree Laplacian drops the start's row and column:
+    there the closing edge only raises the end's out-degree, and loops
+    cancel.  Unvisited grams are isolated and left out, as they would make
+    the minor singular.  Needs degrees that admit a trail (``descriptor.end``
+    is not None); the count is 0 when the visited grams are disconnected.
     """
-    g = DirectedMultigraph(len(matrix), matrix)
-    if g.edge_count != edges:
-        raise InconsistentDescriptor(
-            f"transition counts sum to {g.edge_count}, expected {edges}"
-        )
+    trans, d, end = descriptor.trans, descriptor.d, descriptor.end
+    m = len(trans)
+    start = gram_rank(descriptor.start, d)
+    out = list(descriptor.row_sums)
+    out[end] += 1
+    # With balanced degrees, every successor of a visited gram is visited.
+    pos = {v: i for i, v in enumerate(v for v in range(m) if out[v] and v != start)}
+    minor = []
+    for g in pos:
+        row = [0] * len(pos)
+        row[pos[g]] = out[g]
+        base = g * d % m
+        for z, t in enumerate(trans[g]):
+            if t and base + z != start:
+                row[pos[base + z]] -= t
+        minor.append(row)
+    return _bareiss_det(minor)
 
-    prof = g.degree_profile()
-    diffs = [o - i for o, i in zip(prof.outdeg, prof.indeg)]
-    if all(x == 0 for x in diffs):
-        end = start
-    else:
-        surplus = [v for v, x in enumerate(diffs) if x == 1]
-        deficit = [v for v, x in enumerate(diffs) if x == -1]
-        balanced_rest = all(x in (-1, 0, 1) for x in diffs)
-        if not (balanced_rest and surplus == [start] and len(deficit) == 1):
-            raise NoValidEnd("degree imbalance admits no Eulerian trajectory")
-        end = deficit[0]
-    return g, start, end, g.add_edge(end, start)
+
+def factorial_ratio(descriptor) -> tuple[int, int]:
+    """prod (r_g - 1)! over the visited grams g (r_g = row sum) and
+    prod t! over the cells of the count tensor, as (numerator, denominator)."""
+    num = den = 1
+    for r, row in zip(descriptor.row_sums, descriptor.trans):
+        if r:
+            num *= math.factorial(r - 1)
+        for t in row:
+            den *= math.factorial(t)
+    return num, den
 
 
 def trajectory_count(descriptor, n: int) -> int:
     """Exact |class| for a Markov / l-Markov descriptor by the BEST theorem.
 
-    Counts Eulerian trajectories of the augmented class graph: the in-tree
-    count toward the start times prod (outdeg_aug(v) - 1)! over active
-    vertices, divided by prod t_e! over the unmarked edge multiplicities.
-    Returns 0 for descriptors realized by no word.
+    The class's words are the Eulerian circuits of the class graph plus the
+    closing edge end -> start, cut at that edge: T * prod_v (r~_v - 1)! over
+    the visited grams, with T = ``in_tree_count`` and r~ the out-degrees with
+    the closing edge, over prod t! as parallel edges are indistinct.  At the
+    end r~ - 1 = t_w, the end's row sum, so this is
+    T * max(t_w, 1) * ``factorial_ratio``.  Returns 0 for descriptors realized
+    by no word: degrees that admit no trail, or a disconnected support.
     """
-    try:
-        g, start, end, aug = transition_graph(descriptor, n)
-    except NoValidEnd:
+    descriptor.check_length(n)
+    end = descriptor.end
+    if end is None:
         return 0
-    if g.edge_count == 0:
-        return 1
-    if not _support_connected(aug):
-        return 0
-    # Unused letters are isolated vertices; spanning trees live on the support.
-    active = aug.non_isolated()
-    pos = {v: i for i, v in enumerate(active)}
-    induced = DirectedMultigraph(
-        len(active), tuple(tuple(aug.M[v][u] for u in active) for v in active)
-    )
-    numerator = arborescence_count(induced, pos[start])
-    for v in range(aug.m):
-        od = aug.outdeg(v)
-        if od >= 1:
-            numerator *= math.factorial(od - 1)
-    denominator = 1
-    for row in g.M:
-        for mult in row:
-            denominator *= math.factorial(mult)
-    assert numerator % denominator == 0, "BEST count not divisible by edge permutations"
-    return numerator // denominator
+    num, den = factorial_ratio(descriptor)
+    count = in_tree_count(descriptor) * max(descriptor.row_sums[end], 1) * num
+    assert count % den == 0, "BEST count not divisible by edge permutations"
+    return count // den

@@ -237,14 +237,14 @@ def escalate_bits(bits: int, cap: int = MAX_BITS) -> Optional[int]:
     return bits * 2 if bits * 2 <= cap else None
 
 
-def run_with_escalation(attempt, bits: int, max_bits: int = MAX_BITS):
+def run_with_escalation(attempt, bits: int):
     """``attempt(bits)`` at doubling precision until its ``verdict`` is not
-    "inconclusive", or the last attempt's result once max_bits is reached."""
+    "inconclusive", or the last attempt's result once MAX_BITS is reached."""
     while True:
         result = attempt(bits)
         if result.verdict != "inconclusive":
             return result
-        next_bits = escalate_bits(bits, max_bits)
+        next_bits = escalate_bits(bits)
         if next_bits is None:
             return result
         bits = next_bits

@@ -31,7 +31,7 @@ from .core import (
     ONE,
 )
 from .errors import BadParams, EmptyClass, NotExchangeable
-from .intervals import DEFAULT_BITS, MAX_BITS, IntervalScalar, run_with_escalation, sqrt_bounds
+from .intervals import DEFAULT_BITS, IntervalScalar, run_with_escalation, sqrt_bounds
 from .relations import (
     ClassIndex,
     Relation,
@@ -359,7 +359,6 @@ def verify_flexible_reduction(
     p: FiniteDistribution,
     relation: Relation,
     bits: int = DEFAULT_BITS,
-    max_bits: int = MAX_BITS,
     cap: int = DEFAULT_ENUM_CAP,
     alpha_mode: str = "analytic",
 ) -> ReductionCertificate:
@@ -420,7 +419,7 @@ def verify_flexible_reduction(
             alpha_mode=alpha_mode,
         )
 
-    return run_with_escalation(attempt, bits, max_bits)
+    return run_with_escalation(attempt, bits)
 
 
 # -- Stirling sandwich ---------------------------------------------------------------

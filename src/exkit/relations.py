@@ -34,16 +34,9 @@ from .errors import (
     CapExceeded,
     EmptyClass,
     InconsistentDescriptor,
-    NoValidEnd,
     WordTooShort,
 )
-from .graphs import (
-    arborescence_count,
-    eulerian_trajectories,
-    trail_graph,
-    trajectory_count,
-    transition_graph,
-)
+from .graphs import factorial_ratio, gram_rank, in_tree_count, trajectory_count
 from .intervals import IntervalScalar
 
 
@@ -395,14 +388,28 @@ class LMarkovType(TypeDescriptor):
     def sort_key(self):
         return (2, self.start, self.trans)
 
-    def transition_graph(self, n: int):
+    @cached_property
+    def end(self) -> int | None:
+        """The gram at which every word of the class ends: the one gram whose
+        excess out - in - [v = start] is -1, with every other excess 0; None
+        when the degrees admit no trail from the start gram.  The excesses
+        always sum to -1, so a single nonzero one is that gram."""
         d, m = self.d, len(self.trans)
-        # Row g's successors (g d + z) mod m, z < d, are consecutive columns.
-        matrix = tuple(
-            (0,) * (g * d % m) + row + (0,) * (m - g * d % m - d)
-            for g, row in enumerate(self.trans)
-        )
-        return trail_graph(matrix, gram_rank(self.start, d), n - self.ell)
+        excess = list(self.row_sums)
+        excess[gram_rank(self.start, d)] -= 1
+        for g, row in enumerate(self.trans):
+            base = g * d % m
+            for z, t in enumerate(row):
+                excess[base + z] -= t
+        unbalanced = [v for v, x in enumerate(excess) if x]
+        return unbalanced[0] if len(unbalanced) == 1 else None
+
+    def check_length(self, n: int) -> None:
+        steps = sum(self.row_sums)
+        if n != self.ell + steps:
+            raise InconsistentDescriptor(
+                f"transition counts sum to {steps}, expected {n - self.ell}"
+            )
 
     @cached_property
     def size(self) -> int:
@@ -410,27 +417,42 @@ class LMarkovType(TypeDescriptor):
         return trajectory_count(self, self.ell + sum(self.row_sums))
 
     def class_size(self, n: int) -> int:
-        steps = sum(self.row_sums)
-        if n != self.ell + steps:
-            raise InconsistentDescriptor(
-                f"transition counts sum to {steps}, expected {n - self.ell}"
-            )
+        self.check_length(n)
         return self.size
 
-    def _word(self, trajectory: tuple[int, ...]) -> Word:
-        return self.start + tuple(v % self.d for v in trajectory[1:])
+    def _trails(self) -> Iterator[Word]:
+        """The words of the class in lexicographic order: the walks from the
+        start gram that use up the count tensor, letter z taking gram g to
+        gram (g d + z) mod d^l."""
+        d, m = self.d, len(self.trans)
+        steps = sum(self.row_sums)
+        if steps > 60:
+            raise CapExceeded("transition count too large to enumerate trajectories")
+        left = [list(row) for row in self.trans]
+        word = list(self.start)
+
+        def walk(g: int, to_go: int) -> Iterator[Word]:
+            if not to_go:
+                yield tuple(word)
+                return
+            row = left[g]
+            for z in range(d):
+                if row[z]:
+                    row[z] -= 1
+                    word.append(z)
+                    yield from walk((g * d + z) % m, to_go - 1)
+                    word.pop()
+                    row[z] += 1
+
+        return walk(gram_rank(self.start, d), steps)
 
     def members(self, n: int, cap: int) -> list[Word]:
-        g, start, _, _ = transition_graph(self, n)
-        return sorted(self._word(traj) for traj in eulerian_trajectories(g, start))
+        return list(self._trails())
 
     def representative(self, n: int) -> Word:
-        try:
-            g, start, _, _ = transition_graph(self, n)
-            traj = next(eulerian_trajectories(g, start))
-        except (NoValidEnd, StopIteration):
-            raise EmptyClass("empty class has no representative") from None
-        return self._word(traj)
+        if not self.class_size(n):
+            raise EmptyClass("empty class has no representative")
+        return next(self._trails())
 
     def pi_ratio(self, c: "LMarkovType") -> tuple[int, int]:
         """[start grams agree] * prod_{g,z} (t_{k,gz}/r_{k,g})^t_{c,gz} as an
@@ -482,8 +504,7 @@ class MarkovType(LMarkovType):
     def best_formula_json(self, n: int) -> dict | None:
         """None when the end state has no outgoing transition (t_w = 0),
         where the factored form is not defined."""
-        g, _, end, _ = transition_graph(self, n)
-        if not g.outdeg(end):
+        if self.end is None or not self.row_sums[self.end]:
             return None
         terms = best_formula_terms(self, n)
         return {
@@ -548,13 +569,6 @@ class ProductType(TypeDescriptor):
 
 def sort_key(descriptor: TypeDescriptor):
     return descriptor.sort_key()
-
-
-def gram_rank(gram: tuple[int, ...], d: int) -> int:
-    rank = 0
-    for v in gram:
-        rank = rank * d + v
-    return rank
 
 
 def _de_bruijn_tables(
@@ -632,30 +646,22 @@ def class_size(descriptor: TypeDescriptor, n: int) -> int:
 
 
 def best_formula_terms(descriptor: LMarkovType, n: int) -> dict:
-    """Factored BEST evaluation t_w * T(G_0) * prod(t_i - 1)!/prod t_ij!.
+    """Factored BEST evaluation t_w * T * prod(r_g - 1)!/prod t_gz!, with T
+    the in-tree count on the visited grams that ``class_size`` also uses.
 
     Only defined when the end state has at least one outgoing transition
     (t_w >= 1), which is the shape quoted for the worked example.
     """
-    g, start, end, aug = transition_graph(descriptor, n)
-    t_w = g.outdeg(end)
-    if t_w < 1:
-        raise InconsistentDescriptor("factored form needs t_w >= 1")
-    trees = arborescence_count(aug, start)
-    ratio_num = 1
-    for v in range(g.m):
-        if g.outdeg(v) >= 1:
-            ratio_num *= math.factorial(g.outdeg(v) - 1)
-    ratio_den = 1
-    for row in g.M:
-        for mult in row:
-            ratio_den *= math.factorial(mult)
+    size = class_size(descriptor, n)
+    end = descriptor.end
+    if end is None or not descriptor.row_sums[end]:
+        raise InconsistentDescriptor("factored form needs a trail with t_w >= 1")
     return {
-        "t_w": t_w,
-        "spanning_trees": trees,
-        "factorial_ratio": Fraction(ratio_num, ratio_den),
+        "t_w": descriptor.row_sums[end],
+        "spanning_trees": in_tree_count(descriptor),
+        "factorial_ratio": Fraction(*factorial_ratio(descriptor)),
         "end_vertex": end,
-        "size": class_size(descriptor, n),
+        "size": size,
     }
 
 

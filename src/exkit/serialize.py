@@ -9,6 +9,9 @@ Conventions shared by all formats:
   examples) and 0-indexed in memory;
 * words are digit strings for alphabets up to size 9, comma-separated
   1-indexed numbers otherwise.
+
+The readers raise ExkitError on input of the wrong shape, such as an array
+where an object belongs or a rational with a zero denominator.
 """
 
 from __future__ import annotations
@@ -38,7 +41,17 @@ from .relations import (
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        raise ExkitError(f"{text!r} is not a rational p/q") from None
+
+
+def _object(obj, what: str) -> dict:
+    """``obj`` when it is a JSON object, else an input error naming ``what``."""
+    if not isinstance(obj, dict):
+        raise ExkitError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def word_str(word: Word, alphabet_size: int) -> str:
@@ -73,11 +86,12 @@ def distribution_to_json(dist: FiniteDistribution) -> dict:
 
 
 def distribution_from_json(obj: dict) -> FiniteDistribution:
+    _object(obj, "a distribution")
     factors = tuple(obj["factors"]) if "factors" in obj and obj["factors"] else None
     alphabet = Alphabet(int(obj["d"]), factors)
     entries = {
         parse_word(k, alphabet.size): parse_rational(v)
-        for k, v in obj["entries"].items()
+        for k, v in _object(obj["entries"], "entries").items()
     }
     return FiniteDistribution(alphabet, int(obj["n"]), entries)
 
@@ -219,9 +233,10 @@ def game_to_json(game: Game) -> dict:
 
 
 def game_from_json(obj: dict) -> Game:
+    _object(obj, "a game")
     nx, ny, na, nb = int(obj["X"]), int(obj["Y"]), int(obj["A"]), int(obj["B"])
     law = {}
-    for key, value in obj["T"].items():
+    for key, value in _object(obj["T"], "T").items():
         x, y = (int(part) - 1 for part in str(key).split(","))
         law[(x, y)] = parse_rational(value)
     predicate = frozenset(
@@ -245,11 +260,11 @@ def kernel_to_json(kernel: SequentialKernel) -> dict:
 
 def kernel_from_json(obj: dict) -> SequentialKernel:
     rows = {}
-    for prev_key, row in obj["rows"].items():
+    for prev_key, row in _object(_object(obj, "a kernel")["rows"], "rows").items():
         px, py = (int(part) - 1 for part in str(prev_key).split(","))
         rows[(px, py)] = {
             tuple(int(part) - 1 for part in str(nk).split(",")): parse_rational(v)
-            for nk, v in row.items()
+            for nk, v in _object(row, f"row {prev_key}").items()
         }
     return SequentialKernel(rows)
 
@@ -267,11 +282,11 @@ def strategy_to_json(strategy: Strategy) -> dict:
 
 def strategy_from_json(obj: dict) -> Strategy:
     table = {}
-    for xy_key, row in obj["slices"].items():
+    for xy_key, row in _object(_object(obj, "a strategy")["slices"], "slices").items():
         xy = tuple(int(part) - 1 for part in str(xy_key).split(","))
         table[xy] = {
             tuple(int(part) - 1 for part in str(ab).split(",")): parse_rational(v)
-            for ab, v in row.items()
+            for ab, v in _object(row, f"slice {xy_key}").items()
         }
     return Strategy(table)
 

@@ -78,6 +78,17 @@ def test_size_best_terms(capsys):
     }
 
 
+
+def test_size_best_terms_with_an_unvisited_letter(capsys):
+    # Letter 3 never occurs: the in-trees are counted on letters 1 and 2.
+    code, out = run(capsys, "size", "--relation", "markov", "--d", "3", "--word", "1121")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["size"] == 2
+    assert payload["best_formula"] == {
+        "t_w": 2, "spanning_trees": 1, "factorial_ratio": "1/1", "end_vertex": 1,
+    }
+
 def test_certify_tensor_power_exit_zero(tmp_path, capsys):
     letter = make_distribution(Alphabet(2), 1, {(0,): Fraction(1, 4), (1,): Fraction(3, 4)})
     p = tensor_power(letter, 4)
@@ -194,6 +205,28 @@ def test_cap_exceeded_exit_code(chsh_file, capsys):
 def test_missing_file_exit_code(capsys):
     code = main(["certify", "/nonexistent/file.json"])
     assert code == 4
+
+
+CHSH_ZERO_DENOMINATOR = {**serialize.game_to_json(chsh_game()), "T": {"1,1": "1/0"}}
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["certify", "{file}"], {"d": 2, "n": 2, "entries": {"11": "1/2", "22": "1/0"}}),
+    (["certify", "{file}"], [1, 2]),
+    (["certify", "{file}"], {"d": 2, "n": 2, "entries": ["11", "22"]}),
+    (["game", "{file}"], CHSH_ZERO_DENOMINATOR),
+    (["game", "{file}"], "hello"),
+    (["game", "{chsh}", "--mode", "sequential", "--kernel", "{file}"], "hello"),
+])
+def test_malformed_file_exits_4(argv, content, chsh_file, tmp_path, capsys):
+    # Exit 1 means "the certificate fails"; a malformed file is an input error.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code = main([a.format(file=path, chsh=chsh_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ExkitError"
 
 
 def test_deterministic_output(capsys):

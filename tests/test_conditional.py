@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from exkit import conditional, reduction
 from exkit.conditional import (
     condition,
     empirical_alpha_prime,
@@ -197,6 +198,36 @@ def test_certificate_accepts_conditional_input():
     p = random_exchangeable(JOINT, 3, rng)
     cert = verify_conditional_reduction(condition(p))
     assert cert.verdict == "holds"
+
+
+def test_conditional_input_is_checked_once(monkeypatch):
+    calls = []
+    original = reduction.check_exchangeable
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(reduction, "check_exchangeable", counted)
+    monkeypatch.setattr(conditional, "check_exchangeable", counted)
+    cert = verify_conditional_reduction(condition(uniform(JOINT, 3)))
+    assert cert.verdict == "holds"
+    assert len(calls) == 1
+
+
+def test_certificate_rejects_non_invariant_conditional_with_witness():
+    bad = ConditionalDistribution(
+        Alphabet(2),
+        Alphabet(2),
+        2,
+        {
+            (0, 1): make_distribution(Alphabet(2), 2, {(0, 0): Fraction(1)}),
+            (1, 0): make_distribution(Alphabet(2), 2, {(1, 1): Fraction(1)}),
+        },
+    )
+    with pytest.raises(NotConditionallyExchangeable) as err:
+        verify_conditional_reduction(bad)
+    assert err.value.witness is not None
 
 
 def test_certificate_rejects_non_exchangeable():

@@ -13,7 +13,7 @@ from exkit.graphs import (
     transition_graph,
     trajectory_count,
 )
-from exkit.relations import MARKOV, LMarkov, MarkovType, type_of
+from exkit.relations import MARKOV, LMarkov, MarkovType, enumerate_types, representative, type_of
 
 # Class graph of the worked 8-letter example and its Eulerian augmentation.
 PAPER_G = DirectedMultigraph(3, ((1, 1, 1), (0, 1, 1), (1, 1, 0)))
@@ -140,3 +140,19 @@ def test_disconnected_class_graph_is_empty():
     # Loop at 1 plus a separate 2<->3 cycle: no single trajectory covers both.
     descr = MarkovType(0, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
     assert trajectory_count(descr, 4) == 0
+
+
+def test_counting_builds_no_multigraph(monkeypatch):
+    # Sizes, trails and BEST terms read the count tensor; the multigraph
+    # objects are the graph view only.
+    built = []
+    original = DirectedMultigraph.__post_init__
+    monkeypatch.setattr(
+        DirectedMultigraph, "__post_init__", lambda self: built.append(self) or original(self)
+    )
+    ix = enumerate_types(MARKOV, Alphabet(4), 6)
+    for descr, _ in ix.items[::50]:
+        representative(descr, 6)
+    assert ix.N and not built
+    transition_graph(ix.items[0][0], 6)
+    assert len(built) == 2

@@ -249,3 +249,30 @@ def test_cap_bounds_exchangeable_and_product_work():
     assert enumerate_types(product, A22, 4, cap=70).N == 70
     with pytest.raises(CapExceeded):
         enumerate_types(product, A22, 4, cap=69)
+
+
+FOUR_FAMILIES = [(MARKOV, 2, 6), (MARKOV, 3, 5), (MARKOV, 4, 4), (LMarkov(2), 2, 6)]
+
+
+@pytest.mark.parametrize("relation, d, n", FOUR_FAMILIES)
+def test_best_factored_form_is_the_class_size(relation, d, n):
+    # The in-trees live on the visited grams, so a letter or gram that no
+    # word of the class visits leaves the factored form intact.
+    factored = 0
+    for descr, size in enumerate_types(relation, Alphabet(d), n).items:
+        try:
+            terms = best_formula_terms(descr, n)
+        except InconsistentDescriptor:  # t_w = 0: no factored form
+            continue
+        assert terms["t_w"] * terms["spanning_trees"] * terms["factorial_ratio"] == size
+        factored += 1
+    assert factored
+
+
+@pytest.mark.parametrize("relation, d, n", FOUR_FAMILIES)
+def test_end_gram_is_where_every_member_ends(relation, d, n):
+    for descr, _ in enumerate_types(relation, Alphabet(d), n).items:
+        ends = {relations.gram_rank(w[-descr.ell:], d) for w in class_members(descr, n)}
+        assert ends == {descr.end}
+    assert MarkovType(0, ((0, 0), (1, 0))).end is None
+    assert MarkovType(0, ((0, 1), (1, 0))).end == 0
