@@ -318,6 +318,8 @@ def _recheck_certificate(args, cert_obj: dict) -> int:
         "--verify (the certificate's own relation and options are re-checked)",
         also=("--conditional", "--precision-bits"),
     )
+    if not isinstance(cert_obj, dict):
+        raise ExkitError(f"a certificate must be a JSON object, got {type(cert_obj).__name__}")
     options = cert_obj.get("options", {})
     if args.command == "conditional" and not options.get("conditional"):
         raise ExkitError(
@@ -455,7 +457,7 @@ def cmd_game(args) -> int:
     )
     payload["strategy_winning"] = serialize.rational_str(report.winning)
     payload["bound"] = report.bound.to_json()
-    payload["bound_ge_winning"] = bool(report.bound.certainly_ge(report.winning))
+    payload["bound_ge_winning"] = bool(report.bound_ge_winning)
     payload["alpha_certified"] = serialize.rational_str(report.alpha_certified)
     payload["prefactor_analytic"] = report.prefactor_analytic.to_json()
     payload["degree"] = report.degree

@@ -7,9 +7,22 @@ analytic pre-factor formulas.  Those are carried as closed intervals
 [lo, hi] with rational endpoints that certifiably contain the true value:
 
 * field operations (+, -, *, /) on rational endpoints are computed exactly,
-  so they introduce no rounding at all;
+  so ``IntervalScalar`` arithmetic introduces no rounding at all;
 * sqrt, e and pi are enclosed to a requested number of bits, rounding
   outward by construction.
+
+Exact endpoints of a sum of N square roots have denominators that grow with
+every term, so the fidelities F(P, pi_k)^2 and the reduction's right-hand
+sides are instead enclosed in guard-bit integers: each endpoint of the exact
+interval is bracketed by integers in units of 2^-shift, rounding every term
+down for a lower and up for an upper bracket (``guarded_bits``,
+``grid_interval``, ``scaled_certainly_ge``).  A printed endpoint is taken
+from such a bracket only when both of its ends round to the same 10^-40
+grid point, which is then exactly the string the exact endpoint prints; a
+comparison is decided from a bracket only when the wider enclosure decides
+it, and then the exact interval decides it the same way.  Otherwise the
+caller falls back to the exact interval, so printed bytes and verdicts are
+those of exact arithmetic.
 
 A comparison between a rational and an interval (or two intervals) is
 therefore either certified or declared inconclusive; raising the bit count
@@ -27,6 +40,10 @@ from typing import Optional, Union
 
 DEFAULT_BITS = 128
 MAX_BITS = 1024
+
+PLACES = 40  # decimal places of a printed endpoint
+GRID_BITS = (10**PLACES).bit_length()  # 2^-GRID_BITS resolves the 10^-PLACES grid
+GUARD_BITS = 64  # extra bits of the integer brackets beyond the printed grid
 
 Rational = Union[int, Fraction]
 
@@ -53,7 +70,8 @@ def sqrt_bounds(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 
 @lru_cache(maxsize=None)
 def e_bounds(bits: int) -> tuple[Fraction, Fraction]:
-    """Enclose Euler's number by a Taylor partial sum plus a tail bound."""
+    """Enclose Euler's number within 2^-bits relative error by a Taylor
+    partial sum plus a tail bound."""
     m = 2
     while math.factorial(m + 1) < (1 << (bits + 3)):
         m += 1
@@ -80,7 +98,8 @@ def _atan_inv_bounds(x: int, bits: int) -> tuple[Fraction, Fraction]:
 
 @lru_cache(maxsize=None)
 def pi_bounds(bits: int) -> tuple[Fraction, Fraction]:
-    """Enclose pi with Machin's formula pi = 16*atan(1/5) - 4*atan(1/239)."""
+    """Enclose pi within 2^-bits relative error with Machin's formula
+    pi = 16*atan(1/5) - 4*atan(1/239)."""
     lo5, hi5 = _atan_inv_bounds(5, bits)
     lo239, hi239 = _atan_inv_bounds(239, bits)
     return 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
@@ -217,7 +236,7 @@ class IntervalScalar:
         o = self._coerce(other)
         return o.certainly_le(self)
 
-    def to_json(self, places: int = 40) -> dict:
+    def to_json(self, places: int = PLACES) -> dict:
         return {
             "lo": _decimal_floor(self.lo, places),
             "hi": _decimal_ceil(self.hi, places),
@@ -230,6 +249,55 @@ class IntervalScalar:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IntervalScalar({float(self.lo):.12g}, {float(self.hi):.12g}, bits={self.bits})"
+
+
+def guarded_bits(bits: int) -> int:
+    """Fractional bits of the integer brackets at precision ``bits``: enough
+    to resolve both a ``bits``-bit enclosure and the printed grid, plus the
+    guard."""
+    return max(bits, GRID_BITS) + GUARD_BITS
+
+
+def floor_mul(x: int, f: Fraction) -> int:
+    """floor(x * f) for an integer x and a rational f."""
+    return x * f.numerator // f.denominator
+
+
+def ceil_mul(x: int, f: Fraction) -> int:
+    """ceil(x * f) for an integer x and a rational f."""
+    return -(-x * f.numerator // f.denominator)
+
+
+def grid_interval(
+    lo: tuple[int, int], hi: tuple[int, int], shift: int, bits: int
+) -> Optional[IntervalScalar]:
+    """The printed interval of an exact interval [x, y] known only through
+    integer brackets x in [lo[0], lo[1]] * 2^-shift and y in [hi[0], hi[1]]
+    * 2^-shift: [floor(x), ceil(y)] on the 10^-PLACES grid, or None when a
+    bracket straddles a grid point and the exact endpoint is needed.
+
+    The result encloses [x, y] and its ``to_json`` prints the strings that
+    ``IntervalScalar(x, y, bits).to_json()`` prints.
+    """
+    scale = 10**PLACES
+    floor_lo, floor_hi = (lo[0] * scale) >> shift, (lo[1] * scale) >> shift
+    ceil_lo, ceil_hi = -((-hi[0] * scale) >> shift), -((-hi[1] * scale) >> shift)
+    if floor_lo != floor_hi or ceil_lo != ceil_hi:
+        return None
+    return IntervalScalar(Fraction(floor_lo, scale), Fraction(ceil_lo, scale), bits)
+
+
+def scaled_certainly_ge(lo: int, hi: int, shift: int, value: Rational) -> Optional[bool]:
+    """``certainly_ge(value)`` of an interval known to lie in
+    [lo, hi] * 2^-shift: True/False when this wider enclosure decides it,
+    which the interval then decides the same way, else None."""
+    value = Fraction(value)
+    scaled = value.numerator << shift
+    if scaled <= lo * value.denominator:
+        return True
+    if scaled > hi * value.denominator:
+        return False
+    return None
 
 
 def escalate_bits(bits: int, cap: int = MAX_BITS) -> Optional[int]:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     Alphabet,
@@ -31,7 +31,17 @@ from .core import (
     ONE,
 )
 from .errors import BadParams, EmptyClass, NotExchangeable
-from .intervals import DEFAULT_BITS, IntervalScalar, run_with_escalation, sqrt_bounds
+from .intervals import (
+    DEFAULT_BITS,
+    IntervalScalar,
+    ceil_mul,
+    floor_mul,
+    grid_interval,
+    guarded_bits,
+    run_with_escalation,
+    scaled_certainly_ge,
+    sqrt_bounds,
+)
 from .relations import (
     ClassIndex,
     Relation,
@@ -176,6 +186,10 @@ def alpha_analytic(
 # -- fidelity ---------------------------------------------------------------------
 
 
+def _is_integer_square(x: int) -> bool:
+    return math.isqrt(x) ** 2 == x
+
+
 def _is_square(x: Fraction) -> Optional[Fraction]:
     ns = math.isqrt(x.numerator)
     ds = math.isqrt(x.denominator)
@@ -247,20 +261,26 @@ class Decomposition:
         return tuple(c for c, mu in enumerate(self.weights) if mu)
 
     @cached_property
-    def pi_table(self) -> list[list[Fraction]]:
-        """pi_k(c) for every class k and every supported class c (columns in
-        ``support`` order): a fidelity with P sums over supp P only."""
+    def pi_ratios(self) -> list[list[tuple[int, int]]]:
+        """pi_k(c) as ``pi_ratio``'s unreduced integers (num, den) for every
+        class k and every supported class c (columns in ``support`` order):
+        a fidelity with P sums over supp P only."""
         descriptors = self.index.descriptors()
-        return [[k.pi_at(descriptors[c]) for c in self.support] for k in descriptors]
+        columns = [descriptors[c] for c in self.support]
+        return [[k.pi_ratio(c) for c in columns] for k in descriptors]
 
-    def fidelities_sq(self, bits: int = DEFAULT_BITS) -> list[IntervalScalar]:
-        """F(P, pi_k)^2 for every class k."""
-        sizes = [self.index.items[c][1] for c in self.support]
+    @cached_property
+    def pi_table(self) -> list[list[Fraction]]:
+        """``pi_ratios`` as exact rationals, read only by the exact fallbacks."""
+        return [[Fraction(num, den) if num else ZERO for num, den in row] for row in self.pi_ratios]
+
+    def fidelity_pairs(self, k: int) -> list[tuple[Fraction, int]]:
+        """The nonzero (P(c) pi_k(c), |C_c|) pairs of row k, as
+        ``fidelity_sq_from_pairs`` takes them."""
         return [
-            fidelity_sq_from_pairs(
-                [(self.values[c] * pv, size) for c, pv, size in zip(self.support, row, sizes)], bits
-            )
-            for row in self.pi_table
+            (self.values[c] * Fraction(num, den), self.index.items[c][1])
+            for c, (num, den) in zip(self.support, self.pi_ratios[k])
+            if num
         ]
 
     def remix(self, cap: int = DEFAULT_ENUM_CAP) -> FiniteDistribution:
@@ -272,6 +292,81 @@ class Decomposition:
             for w in class_members(descr, self.index.n, cap):
                 entries[w] = entries.get(w, ZERO) + share
         return FiniteDistribution(self.index.alphabet, self.index.n, entries)
+
+
+class Fidelities:
+    """F(P, pi_k)^2 = (sum_c |C_c| sqrt(P(c) pi_k(c)))^2 for every class k of
+    a decomposition, at one precision.
+
+    ``exact(k)`` is ``fidelity_sq_from_pairs`` on row k: a point when the
+    terms share one surd, else [A^2, B^2] with A and B the sums of the
+    ``sqrt_bounds`` endpoints.  Its denominators grow with every term, so the
+    kernel brackets the same A and B as integers in units of 2^-w
+    (w = ``guarded_bits(bits)``), one floor per term, and squares them:
+    ``brackets[k]`` = (x0, x1, y0, y1) with A^2 in [x0, x1] and B^2 in
+    [y0, y1], in units of 2^-shift.  ``printed[k]`` is the interval a
+    certificate prints: the grid interval of the brackets, which prints
+    ``exact(k)``'s strings, and ``exact(k)`` itself for single-surd rows and
+    for rows whose brackets straddle a grid point.
+    """
+
+    def __init__(self, decomp: Decomposition, bits: int = DEFAULT_BITS) -> None:
+        self.decomp = decomp
+        self.bits = bits
+        self.work = guarded_bits(bits)
+        self.shift = 2 * self.work
+        self._exact: dict[int, IntervalScalar] = {}
+        columns = [
+            (decomp.values[c].numerator, decomp.values[c].denominator, decomp.index.items[c][1])
+            for c in decomp.support
+        ]
+        self.printed: list[IntervalScalar] = []
+        self.brackets: list[tuple[int, int, int, int]] = []
+        for k, row in enumerate(decomp.pi_ratios):
+            terms = []
+            for (num, den), (vn, vd, size) in zip(row, columns):
+                if num:
+                    p, q = vn * num, vd * den
+                    g = math.gcd(p, q)
+                    terms.append((p // g, q // g, size))
+            printed, bracket = self._row(k, terms)
+            self.printed.append(printed)
+            self.brackets.append(bracket)
+
+    def _row(self, k: int, terms: list[tuple[int, int, int]]):
+        if not terms:
+            return IntervalScalar.exact(0, self.bits), (0, 0, 0, 0)
+        # All terms share one surd iff every r/r_0 is a rational square,
+        # i.e. iff p q p_0 q_0 is an integer square.
+        pq0 = terms[0][0] * terms[0][1]
+        if all(_is_integer_square(p * q * pq0) for p, q, _ in terms):
+            point = self.exact(k)
+            lo, hi = (
+                floor_mul(1 << self.shift, point.lo),
+                ceil_mul(1 << self.shift, point.hi),
+            )
+            return point, (lo, hi, lo, hi)
+        up = self.work - self.bits
+        a_sum = b_sum = 0
+        for p, q, size in terms:
+            radicand = p * q << (2 * self.bits)
+            root = math.isqrt(radicand)
+            t = size * root << up
+            a_sum += t // q
+            if root * root != radicand:
+                t += size << up
+            b_sum += t // q
+        # Each floor is within one unit below its term.
+        slack = len(terms)
+        bracket = (a_sum * a_sum, (a_sum + slack) ** 2, b_sum * b_sum, (b_sum + slack) ** 2)
+        printed = grid_interval(bracket[:2], bracket[2:], self.shift, self.bits)
+        return (printed if printed is not None else self.exact(k)), bracket
+
+    def exact(self, k: int) -> IntervalScalar:
+        """Row k through the one exact path, computed on first use."""
+        if k not in self._exact:
+            self._exact[k] = fidelity_sq_from_pairs(self.decomp.fidelity_pairs(k), self.bits)
+        return self._exact[k]
 
 
 def check_exchangeable(
@@ -321,6 +416,25 @@ def triage(checks: Sequence[bool | None | str]) -> tuple[list[str], str]:
     precision) or, for a class with nothing to compare, its verdict."""
     verdicts = [c if isinstance(c, str) else _VERDICTS[c] for c in checks]
     return verdicts, next((v for v in ("fails", "inconclusive") if v in verdicts), "holds")
+
+
+def column_check(
+    rhs: tuple[int, int],
+    shift: int,
+    alpha_sq: IntervalScalar,
+    value: Fraction,
+    exact_rhs: Callable[[], IntervalScalar],
+) -> Optional[bool]:
+    """``(rhs * alpha_sq).certainly_ge(value)`` for a right-hand side known to
+    lie in [rhs[0], rhs[1]] * 2^-shift: decided from that enclosure when it
+    decides, else from ``exact_rhs()``, the exact interval it encloses."""
+    lo, hi = rhs
+    decided = scaled_certainly_ge(
+        floor_mul(lo, alpha_sq.lo), ceil_mul(hi, alpha_sq.hi), shift, value
+    )
+    if decided is not None:
+        return decided
+    return (exact_rhs() * alpha_sq).certainly_ge(value)
 
 
 # -- flexible reduction certificate -------------------------------------------------
@@ -384,16 +498,31 @@ def verify_flexible_reduction(
             if alpha_mode == "analytic"
             else IntervalScalar.exact(tight_max, bits) ** 2
         )
-        fid_sq = decomp.fidelities_sq(bits)
-        # A class with P = 0 holds at once (its LHS is 0); the others are the
-        # columns of the pi table.
-        checks: list = ["holds"] * index.N
-        for j, c in enumerate(decomp.support):
+        fids = Fidelities(decomp, bits)
+
+        def exact_rhs(j: int) -> IntervalScalar:
             rhs = IntervalScalar.exact(0, bits)
             for k, row in enumerate(decomp.pi_table):
                 if row[j]:
-                    rhs = rhs + fid_sq[k] * row[j]
-            checks[c] = (rhs * alpha_sq).certainly_ge(decomp.values[c])
+                    rhs = rhs + fids.exact(k) * row[j]
+            return rhs
+
+        # A class with P = 0 holds at once (its LHS is 0); the others are the
+        # columns of the pi table.  sum_k F_k^2 pi_k(c) is bracketed from
+        # the fidelity brackets, floor for the lower and ceiling for the
+        # upper end.
+        checks: list = ["holds"] * index.N
+        for j, c in enumerate(decomp.support):
+            lo = hi = 0
+            for (num, den), (x0, _, _, y1) in zip(
+                (row[j] for row in decomp.pi_ratios), fids.brackets
+            ):
+                if num:
+                    lo += x0 * num // den
+                    hi += -(-y1 * num // den)
+            checks[c] = column_check(
+                (lo, hi), fids.shift, alpha_sq, decomp.values[c], lambda: exact_rhs(j)
+            )
         verdicts, overall = triage(checks)
         return ReductionCertificate(
             relation=relation,
@@ -408,7 +537,7 @@ def verify_flexible_reduction(
                     descriptor=descr,
                     size=size,
                     tight_ratio=tight[c],
-                    fidelity_sq=fid_sq[c],
+                    fidelity_sq=fids.printed[c],
                     verdict=verdicts[c],
                     tight_within_analytic=bool(analytic.value.certainly_ge(tight[c])),
                 )

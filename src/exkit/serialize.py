@@ -54,6 +54,21 @@ def _object(obj, what: str) -> dict:
     return obj
 
 
+def _array(obj, what: str) -> list:
+    """``obj`` when it is a JSON array, else an input error naming ``what``."""
+    if not isinstance(obj, list):
+        raise ExkitError(f"{what} must be a JSON array, got {type(obj).__name__}")
+    return obj
+
+
+def _int_array(obj, what: str, length: int | None = None) -> list[int]:
+    """``obj`` when it is a JSON array of integers, of ``length`` entries
+    when given, else an input error naming ``what``."""
+    if not all(isinstance(v, int) for v in _array(obj, what)) or length not in (None, len(obj)):
+        raise ExkitError(f"{what} must be an array of {length or 'some'} integers, got {obj!r}")
+    return obj
+
+
 def word_str(word: Word, alphabet_size: int) -> str:
     if alphabet_size <= 9:
         return "".join(str(letter + 1) for letter in word)
@@ -87,7 +102,8 @@ def distribution_to_json(dist: FiniteDistribution) -> dict:
 
 def distribution_from_json(obj: dict) -> FiniteDistribution:
     _object(obj, "a distribution")
-    factors = tuple(obj["factors"]) if "factors" in obj and obj["factors"] else None
+    factors = obj.get("factors")
+    factors = tuple(_int_array(factors, "factors")) if factors else None
     alphabet = Alphabet(int(obj["d"]), factors)
     entries = {
         parse_word(k, alphabet.size): parse_rational(v)
@@ -240,7 +256,8 @@ def game_from_json(obj: dict) -> Game:
         x, y = (int(part) - 1 for part in str(key).split(","))
         law[(x, y)] = parse_rational(value)
     predicate = frozenset(
-        (int(x) - 1, int(y) - 1, int(a) - 1, int(b) - 1) for x, y, a, b in obj["V"]
+        tuple(v - 1 for v in _int_array(entry, "an entry of V", 4))
+        for entry in _array(obj["V"], "V")
     )
     return Game(
         tuple(range(nx)), tuple(range(ny)), tuple(range(na)), tuple(range(nb)), law, predicate

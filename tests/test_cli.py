@@ -217,6 +217,9 @@ CHSH_ZERO_DENOMINATOR = {**serialize.game_to_json(chsh_game()), "T": {"1,1": "1/
     (["game", "{file}"], CHSH_ZERO_DENOMINATOR),
     (["game", "{file}"], "hello"),
     (["game", "{chsh}", "--mode", "sequential", "--kernel", "{file}"], "hello"),
+    (["certify", "{file}", "--verify"], [1, 2]),
+    (["certify", "{file}"], {"d": 2, "n": 2, "factors": 5, "entries": {"11": "1"}}),
+    (["game", "{file}"], {**serialize.game_to_json(chsh_game()), "V": [1, 2]}),
 ])
 def test_malformed_file_exits_4(argv, content, chsh_file, tmp_path, capsys):
     # Exit 1 means "the certificate fails"; a malformed file is an input error.

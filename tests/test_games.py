@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import exkit.games as games
 from exkit.errors import BadParams, CapExceeded, KernelNotStationary, NotExchangeable
 from exkit.games import (
     Game,
@@ -281,3 +282,19 @@ def test_joint_weight_is_a_distribution():
     w = joint_weight(CHSH, g2, s, 2)
     assert sum(w.entries.values(), Fraction(0)) == 1
     assert w.alphabet.factors == (2, 2, 2, 2)
+
+
+def test_bound_fallbacks_reproduce_the_bound(monkeypatch):
+    rng = random.Random(404)
+    g2 = parallel_game(CHSH, 2)
+    sym = symmetrize_strategy(CHSH, g2, random_strategy(CHSH, 2, rng), EXCHANGEABLE)
+    report = definetti_upper_bound(CHSH, 2, sym, mode="parallel")
+    assert not report.bound.is_point  # the bracketed path, not the all-point one
+    # Brackets that straddle a grid point or leave bound >= winning open fall
+    # back to the exact bound, which prints the same and decides the same.
+    monkeypatch.setattr(games, "grid_interval", lambda *args: None)
+    monkeypatch.setattr(games, "scaled_certainly_ge", lambda *args: None)
+    exact = definetti_upper_bound(CHSH, 2, sym, mode="parallel")
+    assert exact.bound.to_json() == report.bound.to_json()
+    assert exact.bound_ge_winning is report.bound_ge_winning is True
+    assert exact.bound.certainly_ge(exact.winning) is True

@@ -1,9 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from exkit.intervals import IntervalScalar, e_bounds, pi_bounds, sqrt_bounds
+from exkit.intervals import (
+    PLACES,
+    IntervalScalar,
+    e_bounds,
+    grid_interval,
+    pi_bounds,
+    scaled_certainly_ge,
+    sqrt_bounds,
+)
 
 # 50 truncated decimals; the truth lies in [T, T + 10^-50].
 E_TRUNC = Fraction("2.71828182845904523536028747135266249775724709369995")
@@ -88,3 +98,70 @@ def test_json_round_trip_is_outward():
 def test_inverted_interval_rejected():
     with pytest.raises(ValueError):
         IntervalScalar(Fraction(2), Fraction(1))
+
+
+def _mpf(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 1024])
+def test_enclosures_contain_mpmath_values_within_documented_width(bits):
+    # Each width is at most 2^-bits relative to the value enclosed.
+    rng = random.Random(bits)
+    with mpmath.workprec(2 * bits + 128):
+        cases = [(e_bounds(bits), mpmath.e), (pi_bounds(bits), mpmath.pi)]
+        for _ in range(20):
+            x = Fraction(rng.randint(1, 10**30), rng.randint(1, 10**30))
+            cases.append((sqrt_bounds(x, bits), mpmath.sqrt(_mpf(x))))
+        for (lo, hi), truth in cases:
+            assert _mpf(lo) <= truth <= _mpf(hi)
+            assert (hi - lo) * 2**bits <= lo
+
+
+def _bracket(x: Fraction, shift: int, pad: int) -> tuple[int, int]:
+    """An integer bracket of x in units of 2^-shift, widened by ``pad`` units."""
+    scaled = x * 2**shift
+    return math.floor(scaled) - pad, math.ceil(scaled) + pad
+
+
+def test_grid_interval_prints_the_exact_strings_when_it_decides():
+    rng = random.Random(11)
+    shift, decided = 200, 0
+    for _ in range(300):
+        lo = Fraction(rng.randint(1, 10**60), rng.randint(1, 10**60))
+        hi = lo + Fraction(1, rng.randint(1, 10**50))
+        pad = rng.choice([0, 1, 2**60])
+        printed = grid_interval(_bracket(lo, shift, pad), _bracket(hi, shift, pad), shift, 128)
+        if printed is not None:
+            decided += 1
+            assert printed.lo <= lo <= hi <= printed.hi
+            assert printed.to_json() == IntervalScalar(lo, hi, 128).to_json()
+    assert decided > 150
+
+
+def test_grid_interval_declines_a_bracket_that_straddles_a_grid_point():
+    # 1/4 lies on the 10^-40 grid, so a bracket around it cannot tell
+    # floor(1/4) from the grid point below.
+    shift = 200
+    on_grid, off_grid = Fraction(1, 4), Fraction(1, 3)
+    assert grid_interval(_bracket(on_grid, shift, 1), _bracket(off_grid, shift, 1), shift, 128) is None
+    assert grid_interval(_bracket(off_grid, shift, 1), _bracket(on_grid, shift, 1), shift, 128) is None
+    printed = grid_interval(_bracket(off_grid, shift, 1), _bracket(off_grid, shift, 1), shift, 128)
+    assert printed.to_json()["lo"] == "0." + "3" * PLACES
+    assert printed.to_json()["hi"] == "0." + "3" * (PLACES - 1) + "4"
+
+
+def test_scaled_certainly_ge_agrees_with_every_enclosed_interval():
+    rng = random.Random(5)
+    shift = 64
+    outcomes = set()
+    for _ in range(500):
+        lo, hi = sorted(rng.randint(0, 2**70) for _ in range(2))
+        value = Fraction(rng.randint(0, 2**10), rng.randint(1, 2**4))
+        decided = scaled_certainly_ge(lo, hi, shift, value)
+        outcomes.add(decided)
+        inner_lo = Fraction(rng.randint(lo, hi), 2**shift)
+        inner = IntervalScalar(inner_lo, max(inner_lo, Fraction(rng.randint(lo, hi), 2**shift)))
+        if decided is not None:
+            assert inner.certainly_ge(value) is decided
+    assert outcomes == {True, False, None}

@@ -6,14 +6,24 @@ so that every d^n word can be grouped by its descriptor as an oracle.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
+import mpmath
 from hypothesis import given, settings, strategies as st
 
 from exkit import serialize
 from exkit.conditional import X_FACTOR, class_marginal, marginal_type
 from exkit.core import Alphabet, FiniteDistribution, marginal
 from exkit.graphs import transition_graph
-from exkit.reduction import decompose, pi_value
+from exkit.intervals import IntervalScalar, run_with_escalation
+from exkit.reduction import (
+    alpha_analytic,
+    decompose,
+    fidelity_sq_from_pairs,
+    pi_value,
+    triage,
+    verify_flexible_reduction,
+)
 from exkit.relations import (
     EXCHANGEABLE,
     MARKOV,
@@ -191,3 +201,75 @@ def test_class_marginal_is_the_word_level_marginal(p):
     x_alpha = Alphabet(p.alphabet.factors[X_FACTOR])
     for x in x_alpha.words(p.n):
         assert by_class[type_of(x, EXCHANGEABLE, x_alpha)] == p_x(x)
+
+
+@st.composite
+def invariant_distributions(draw):
+    """(relation, P) with P relation-invariant: drawn weights on the classes
+    of exchangeable, Markov, l-Markov(2) or exchangeable x Markov."""
+    kind = draw(st.sampled_from(["exchangeable", "markov", "lmarkov2", "product"]))
+    if kind == "product":
+        relation, alphabet, n = ProductRelation((EXCHANGEABLE, MARKOV)), Alphabet(4, (2, 2)), draw(st.integers(2, 3))
+    elif kind == "lmarkov2":
+        relation, alphabet, n = LMarkov(2), Alphabet(2), draw(st.integers(3, 6))
+    else:
+        relation = EXCHANGEABLE if kind == "exchangeable" else MARKOV
+        alphabet, n = Alphabet(draw(st.integers(2, 3))), draw(st.integers(2, 4))
+    index = enumerate_types(relation, alphabet, n)
+    weights = draw(st.lists(st.integers(0, 9), min_size=index.N, max_size=index.N))
+    if not any(weights):
+        weights[-1] = 1
+    entries = {}
+    for (descr, size), w in zip(index.items, weights):
+        for word in class_members(descr, n):
+            if w:
+                entries[word] = Fraction(w, sum(weights) * size)
+    return relation, FiniteDistribution(alphabet, n, entries)
+
+
+def exact_path_certificate(p, relation):
+    """Per-class verdicts, bits and fidelities of the flexible reduction with
+    every fidelity and right-hand side in exact-rational interval arithmetic."""
+    decomp = decompose(p, relation)
+    descriptors = decomp.index.descriptors()
+    sizes = [size for _, size in decomp.index.items]
+    pi = [[k.pi_at(descriptors[c]) for c in decomp.support] for k in descriptors]
+
+    def attempt(bits):
+        alpha_sq = alpha_analytic(relation, p.n, p.alphabet, bits).squared
+        fid = [
+            fidelity_sq_from_pairs(
+                [(decomp.values[c] * pv, sizes[c]) for c, pv in zip(decomp.support, row)], bits
+            )
+            for row in pi
+        ]
+        checks = ["holds"] * decomp.index.N
+        for j, c in enumerate(decomp.support):
+            rhs = IntervalScalar.exact(0, bits)
+            for k, row in enumerate(pi):
+                rhs = rhs + fid[k] * row[j]
+            checks[c] = (rhs * alpha_sq).certainly_ge(decomp.values[c])
+        verdicts, verdict = triage(checks)
+        return SimpleNamespace(verdict=verdict, verdicts=verdicts, bits=bits, fid=fid)
+
+    return decomp, pi, run_with_escalation(attempt, 128)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(invariant_distributions())
+def test_fidelity_kernel_matches_the_exact_path(case):
+    relation, p = case
+    cert = verify_flexible_reduction(p, relation)
+    decomp, pi, exact = exact_path_certificate(p, relation)
+    assert cert.verdict == exact.verdict and cert.bits == exact.bits
+    assert [rec.verdict for rec in cert.records] == exact.verdicts
+    mpmath.mp.dps = 60
+    slack = mpmath.mpf(10) ** -50
+    for rec, fid, row in zip(cert.records, exact.fid, pi):
+        assert rec.fidelity_sq.to_json() == fid.to_json()
+        f = mpmath.mpf(0)
+        for c, pv in zip(decomp.support, row):
+            r = decomp.values[c] * pv
+            f += decomp.index.items[c][1] * mpmath.sqrt(mpmath.mpf(r.numerator) / r.denominator)
+        printed = rec.fidelity_sq.to_json()
+        assert mpmath.mpf(printed["lo"]) - slack <= f * f <= mpmath.mpf(printed["hi"]) + slack

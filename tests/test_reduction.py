@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+import exkit.reduction as reduction
+from exkit import serialize
 from exkit.core import Alphabet, dirac, make_distribution, tensor_power, uniform
 from exkit.errors import BadParams, EmptyClass, NotExchangeable
 from exkit.intervals import IntervalScalar
 from exkit.reduction import (
+    Fidelities,
     alpha_analytic,
     alpha_tight,
+    column_check,
     decompose,
     empirical_pi,
     fidelity_squared,
@@ -318,3 +322,44 @@ def test_markov_lmarkov1_verdicts_agree():
         cm = verify_flexible_reduction(p, MARKOV)
         cl = verify_flexible_reduction(p, LMarkov(1))
         assert cm.verdict == cl.verdict
+
+
+def _certificate_text(p, relation):
+    return serialize.dumps(serialize.reduction_certificate_to_json(verify_flexible_reduction(p, relation)))
+
+
+@pytest.mark.parametrize("alphabet, n, relation", [(A3, 4, EXCHANGEABLE), (A2, 6, MARKOV)])
+def test_straddled_grid_point_takes_the_exact_fidelity_path(alphabet, n, relation, monkeypatch):
+    p = random_invariant(alphabet, n, relation, random.Random(n))
+    expected = _certificate_text(p, relation)
+    fids = Fidelities(decompose(p, relation))
+    assert not all(f.is_point for f in fids.printed)  # some rows are irrational
+    # A bracket that straddles a 10^-40 grid point cannot name the printed
+    # endpoint; every row then prints the exact interval, with the same bytes.
+    monkeypatch.setattr(reduction, "grid_interval", lambda *args: None)
+    fids = Fidelities(decompose(p, relation))
+    assert all(fids.printed[k] is fids.exact(k) for k in range(len(fids.printed)))
+    assert _certificate_text(p, relation) == expected
+
+
+def test_undecided_rhs_enclosure_gives_the_exact_verdict():
+    alpha_sq = IntervalScalar(Fraction(3, 2), Fraction(5, 3))
+    exact = IntervalScalar(Fraction(1, 3), Fraction(1, 2))
+    # [rhs] * alpha_sq = [1/2, 5/6]: below, inside and above it.
+    for value, verdict in ((Fraction(1, 2), True), (Fraction(2, 3), None), (Fraction(6, 7), False)):
+        assert (exact * alpha_sq).certainly_ge(value) is verdict
+        wide = (0, 2**70)  # [0, 2^6] at shift 64 decides nothing here
+        assert column_check(wide, 64, alpha_sq, value, lambda: exact) is verdict
+    # A deciding enclosure never calls the exact fallback.
+    def unused():
+        raise AssertionError("exact right-hand side computed")
+    assert column_check((2**63, 2**63), 64, alpha_sq, Fraction(1, 2), unused) is True
+    assert column_check((0, 2**63), 64, alpha_sq, Fraction(6, 7), unused) is False
+
+
+@pytest.mark.parametrize("alphabet, n, relation", [(A3, 4, EXCHANGEABLE), (A2, 6, MARKOV)])
+def test_exact_rhs_fallback_reproduces_the_certificate(alphabet, n, relation, monkeypatch):
+    p = random_invariant(alphabet, n, relation, random.Random(n + 1))
+    expected = _certificate_text(p, relation)
+    monkeypatch.setattr(reduction, "scaled_certainly_ge", lambda *args: None)
+    assert _certificate_text(p, relation) == expected
