@@ -21,7 +21,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import serialize
@@ -63,16 +62,6 @@ EXIT_INCONCLUSIVE = 3
 EXIT_ERROR = 4
 
 _VERDICT_EXIT = {"holds": EXIT_OK, "fails": EXIT_FAILS, "inconclusive": EXIT_INCONCLUSIVE}
-
-
-def _default_bits() -> int:
-    raw = os.environ.get("EXKIT_PRECISION_BITS")
-    if raw is None:
-        return DEFAULT_BITS
-    bits = int(raw)
-    if bits < 64:
-        raise ExkitError("EXKIT_PRECISION_BITS must be >= 64")
-    return bits
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -138,11 +127,14 @@ def _alphabet_from_args(args) -> Alphabet:
     return Alphabet(args.d)
 
 
-def _bits(args) -> int:
-    bits = args.precision_bits if args.precision_bits is not None else _default_bits()
+def _checked_bits(bits: int) -> int:
     if bits < 64:
         raise ExkitError("precision must be >= 64 bits")
     return bits
+
+
+def _bits(args) -> int:
+    return _checked_bits(DEFAULT_BITS if args.precision_bits is None else args.precision_bits)
 
 
 def _emit(args, payload: dict, rows: list[dict] | None = None) -> None:
@@ -321,13 +313,15 @@ def _recheck_certificate(args, cert_obj: dict) -> int:
     if not isinstance(cert_obj, dict):
         raise ExkitError(f"a certificate must be a JSON object, got {type(cert_obj).__name__}")
     options = cert_obj.get("options", {})
+    if not isinstance(options, dict):
+        raise ExkitError(f"options must be a JSON object, got {type(options).__name__}")
     if args.command == "conditional" and not options.get("conditional"):
         raise ExkitError(
             "conditional --verify conflicts with a flexible certificate "
             "(options.conditional is false); re-check it with certify --verify"
         )
     dist = serialize.distribution_from_json(cert_obj["input"])
-    bits = int(options.get("bits", _bits(args)))
+    bits = _checked_bits(int(options.get("bits", DEFAULT_BITS)))
     if options.get("conditional"):
         cert = verify_conditional_reduction(dist, bits, args.enum_cap)
         fresh = serialize.conditional_certificate_to_json(cert)

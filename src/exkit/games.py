@@ -19,14 +19,7 @@ from typing import Mapping, Optional
 
 from .core import Alphabet, DEFAULT_ENUM_CAP, FiniteDistribution, Word, ZERO, ONE
 from .errors import BadParams, CapExceeded, DimensionMismatch, KernelNotStationary
-from .intervals import (
-    DEFAULT_BITS,
-    IntervalScalar,
-    ceil_mul,
-    floor_mul,
-    grid_interval,
-    scaled_certainly_ge,
-)
+from .intervals import DEFAULT_BITS, IntervalScalar
 from .reduction import Fidelities, alpha_analytic, alpha_tight, decompose
 from .relations import EXCHANGEABLE, MARKOV, Relation, type_of
 
@@ -374,34 +367,6 @@ class BoundReport:
     rows: tuple[BoundRow, ...]
 
 
-def _bracketed_bound(fids: Fidelities, weighted, alpha_sq: Fraction, winning: Fraction, bits: int):
-    """The bound alpha^2 sum_k w_k F_k^2, with F_k^2 the exact intervals of
-    ``Fidelities.exact``, and its ``certainly_ge(winning)``, both taken from
-    brackets of its endpoints built term by term from the fidelity
-    brackets; the exact bound is summed only when a bracket cannot decide."""
-    x0 = x1 = y0 = y1 = 0
-    for k, row in weighted:
-        weight, bracket = row.predicate_weight, fids.brackets[k]
-        x0 += floor_mul(bracket[0], weight)
-        x1 += ceil_mul(bracket[1], weight)
-        y0 += floor_mul(bracket[2], weight)
-        y1 += ceil_mul(bracket[3], weight)
-    x0, x1 = floor_mul(x0, alpha_sq), ceil_mul(x1, alpha_sq)
-    y0, y1 = floor_mul(y0, alpha_sq), ceil_mul(y1, alpha_sq)
-    bound = grid_interval((x0, x1), (y0, y1), fids.shift, bits)
-    bound_ge_winning = scaled_certainly_ge(x0, y1, fids.shift, winning)
-    if bound is None or bound_ge_winning is None:
-        exact = IntervalScalar.exact(0, bits)
-        for k, row in weighted:
-            exact = exact + fids.exact(k) * row.predicate_weight
-        exact = exact * alpha_sq
-        if bound is None:
-            bound = exact
-        if bound_ge_winning is None:
-            bound_ge_winning = exact.certainly_ge(winning)
-    return bound, bound_ge_winning
-
-
 def definetti_upper_bound(
     game: Game,
     n: int,
@@ -473,23 +438,20 @@ def definetti_upper_bound(
     alpha_cert = max(alpha_tight(d, n) for d in descriptors)
     alpha_sq = alpha_cert * alpha_cert
     winning = winning_probability(repeated, strategy)
-    weighted = [(k, row) for k, row in enumerate(rows) if row.predicate_weight]
-    if all(row.fidelity_sq.is_point for _, row in weighted):
-        # Single-surd fidelities are exact points, and so is the bound.
-        bound = IntervalScalar.exact(
-            alpha_sq * sum((row.fidelity_sq.lo * row.predicate_weight for _, row in weighted), ZERO),
-            bits,
-        )
-        bound_ge_winning = bound.certainly_ge(winning)
-    else:
-        bound, bound_ge_winning = _bracketed_bound(fids, weighted, alpha_sq, winning, bits)
+    bound = fids.combination(
+        (
+            (k, row.predicate_weight.numerator, row.predicate_weight.denominator)
+            for k, row in enumerate(rows)
+        ),
+        IntervalScalar.exact(alpha_sq, bits),
+    )
 
     analytic = alpha_analytic(relation, n, alphabet, bits)
     return BoundReport(
         mode=mode,
         n=n,
-        bound=bound,
-        bound_ge_winning=bound_ge_winning,
+        bound=bound.interval(),
+        bound_ge_winning=bound.certainly_ge(winning),
         winning=winning,
         alpha_certified=alpha_cert,
         prefactor_certified=IntervalScalar.exact(decomp.index.N * alpha_sq, bits),

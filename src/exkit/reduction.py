@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     Alphabet,
@@ -269,20 +269,6 @@ class Decomposition:
         columns = [descriptors[c] for c in self.support]
         return [[k.pi_ratio(c) for c in columns] for k in descriptors]
 
-    @cached_property
-    def pi_table(self) -> list[list[Fraction]]:
-        """``pi_ratios`` as exact rationals, read only by the exact fallbacks."""
-        return [[Fraction(num, den) if num else ZERO for num, den in row] for row in self.pi_ratios]
-
-    def fidelity_pairs(self, k: int) -> list[tuple[Fraction, int]]:
-        """The nonzero (P(c) pi_k(c), |C_c|) pairs of row k, as
-        ``fidelity_sq_from_pairs`` takes them."""
-        return [
-            (self.values[c] * Fraction(num, den), self.index.items[c][1])
-            for c, (num, den) in zip(self.support, self.pi_ratios[k])
-            if num
-        ]
-
     def remix(self, cap: int = DEFAULT_ENUM_CAP) -> FiniteDistribution:
         entries: dict[Word, Fraction] = {}
         for (descr, size), mu in zip(self.index.items, self.weights):
@@ -307,7 +293,8 @@ class Fidelities:
     [y0, y1], in units of 2^-shift.  ``printed[k]`` is the interval a
     certificate prints: the grid interval of the brackets, which prints
     ``exact(k)``'s strings, and ``exact(k)`` itself for single-surd rows and
-    for rows whose brackets straddle a grid point.
+    for rows whose brackets straddle a grid point.  ``combination`` weighs
+    and sums the rows.
     """
 
     def __init__(self, decomp: Decomposition, bits: int = DEFAULT_BITS) -> None:
@@ -365,8 +352,80 @@ class Fidelities:
     def exact(self, k: int) -> IntervalScalar:
         """Row k through the one exact path, computed on first use."""
         if k not in self._exact:
-            self._exact[k] = fidelity_sq_from_pairs(self.decomp.fidelity_pairs(k), self.bits)
+            decomp = self.decomp
+            pairs = [
+                (decomp.values[c] * Fraction(num, den), decomp.index.items[c][1])
+                for c, (num, den) in zip(decomp.support, decomp.pi_ratios[k])
+                if num
+            ]
+            self._exact[k] = fidelity_sq_from_pairs(pairs, self.bits)
         return self._exact[k]
+
+    def combination(
+        self, weights: Iterable[tuple[int, int, int]], scale: IntervalScalar
+    ) -> "Combination":
+        """scale * sum_k (num/den) F(P, pi_k)^2 over ``weights`` = (k, num, den)."""
+        return Combination(self, weights, scale)
+
+
+class Combination:
+    """scale * sum_k w_k F(P, pi_k)^2 for rational weights w_k >= 0 and a
+    nonnegative scale: the one path by which a certifier compares or prints a
+    weighted sum of fidelities (the flexible right-hand side of a class, the
+    game bound).
+
+    ``exact`` is the interval of exact arithmetic on ``Fidelities.exact``:
+    [scale.lo * sum_k w_k A_k^2, scale.hi * sum_k w_k B_k^2].  Its lower end
+    lies in [x0, x1] and its upper end in [y0, y1], in units of 2^-shift,
+    summed term by term from the fidelity brackets, down for a lower and up
+    for an upper end of a bracket.  ``certainly_ge`` and ``interval`` read
+    [x0, y1] and the grid interval of the brackets when they decide and fall
+    back to ``exact`` otherwise, so they answer and print as ``exact`` does.
+    """
+
+    def __init__(
+        self, fids: Fidelities, weights: Iterable[tuple[int, int, int]], scale: IntervalScalar
+    ) -> None:
+        self.fids = fids
+        self.weights = [(k, num, den) for k, num, den in weights if num]
+        self.scale = scale
+        self.x0 = self._end(0, scale.lo)
+        self.y1 = self._end(3, scale.hi)
+
+    def _end(self, i: int, factor: Fraction) -> int:
+        """factor * sum_k w_k brackets[k][i], rounded down for a lower (even
+        i) and up for an upper (odd i) end of a bracket."""
+        brackets = self.fids.brackets
+        if i % 2:
+            total = sum(-(-brackets[k][i] * num // den) for k, num, den in self.weights)
+            return ceil_mul(total, factor)
+        total = sum(brackets[k][i] * num // den for k, num, den in self.weights)
+        return floor_mul(total, factor)
+
+    @cached_property
+    def exact(self) -> IntervalScalar:
+        total = IntervalScalar.exact(0, self.fids.bits)
+        for k, num, den in self.weights:
+            total = total + self.fids.exact(k) * Fraction(num, den)
+        return total * self.scale
+
+    def certainly_ge(self, value: Fraction) -> Optional[bool]:
+        decided = scaled_certainly_ge(self.x0, self.y1, self.fids.shift, value)
+        return decided if decided is not None else self.exact.certainly_ge(value)
+
+    def interval(self) -> IntervalScalar:
+        """``exact`` itself when it is a point (a point scale and single-surd
+        rows), else its printed interval."""
+        printed = self.fids.printed
+        if self.scale.is_point and all(printed[k].is_point for k, _, _ in self.weights):
+            return self.exact
+        grid = grid_interval(
+            (self.x0, self._end(1, self.scale.lo)),
+            (self._end(2, self.scale.hi), self.y1),
+            self.fids.shift,
+            self.fids.bits,
+        )
+        return grid if grid is not None else self.exact
 
 
 def check_exchangeable(
@@ -418,25 +477,6 @@ def triage(checks: Sequence[bool | None | str]) -> tuple[list[str], str]:
     return verdicts, next((v for v in ("fails", "inconclusive") if v in verdicts), "holds")
 
 
-def column_check(
-    rhs: tuple[int, int],
-    shift: int,
-    alpha_sq: IntervalScalar,
-    value: Fraction,
-    exact_rhs: Callable[[], IntervalScalar],
-) -> Optional[bool]:
-    """``(rhs * alpha_sq).certainly_ge(value)`` for a right-hand side known to
-    lie in [rhs[0], rhs[1]] * 2^-shift: decided from that enclosure when it
-    decides, else from ``exact_rhs()``, the exact interval it encloses."""
-    lo, hi = rhs
-    decided = scaled_certainly_ge(
-        floor_mul(lo, alpha_sq.lo), ceil_mul(hi, alpha_sq.hi), shift, value
-    )
-    if decided is not None:
-        return decided
-    return (exact_rhs() * alpha_sq).certainly_ge(value)
-
-
 # -- flexible reduction certificate -------------------------------------------------
 
 
@@ -485,11 +525,19 @@ def verify_flexible_reduction(
     smallest constant that dominates them.  The reduction needs only that
     domination, so neither mode can return "fails" on a relation-invariant P.
     """
+    if alpha_mode not in ("analytic", "tight"):
+        raise BadParams(f"unknown alpha mode {alpha_mode!r}")
     decomp = decompose(p, relation, cap)
     index = decomp.index
     n, d = p.n, p.alphabet.size
     tight = [alpha_tight(descr, n) for descr, _ in index.items]
     tight_max = max(tight)
+    # The pi table by columns: pi_k(c) != 0 as (k, num, den) for each c in supp P.
+    columns: list[list[tuple[int, int, int]]] = [[] for _ in decomp.support]
+    for k, row in enumerate(decomp.pi_ratios):
+        for column, (num, den) in zip(columns, row):
+            if num:
+                column.append((k, num, den))
 
     def attempt(bits: int) -> ReductionCertificate:
         analytic = alpha_analytic(relation, n, p.alphabet, bits)
@@ -499,30 +547,11 @@ def verify_flexible_reduction(
             else IntervalScalar.exact(tight_max, bits) ** 2
         )
         fids = Fidelities(decomp, bits)
-
-        def exact_rhs(j: int) -> IntervalScalar:
-            rhs = IntervalScalar.exact(0, bits)
-            for k, row in enumerate(decomp.pi_table):
-                if row[j]:
-                    rhs = rhs + fids.exact(k) * row[j]
-            return rhs
-
-        # A class with P = 0 holds at once (its LHS is 0); the others are the
-        # columns of the pi table.  sum_k F_k^2 pi_k(c) is bracketed from
-        # the fidelity brackets, floor for the lower and ceiling for the
-        # upper end.
+        # A class with P = 0 holds at once (its LHS is 0); the others compare
+        # P(c) with alpha^2 sum_k F_k^2 pi_k(c).
         checks: list = ["holds"] * index.N
-        for j, c in enumerate(decomp.support):
-            lo = hi = 0
-            for (num, den), (x0, _, _, y1) in zip(
-                (row[j] for row in decomp.pi_ratios), fids.brackets
-            ):
-                if num:
-                    lo += x0 * num // den
-                    hi += -(-y1 * num // den)
-            checks[c] = column_check(
-                (lo, hi), fids.shift, alpha_sq, decomp.values[c], lambda: exact_rhs(j)
-            )
+        for c, column in zip(decomp.support, columns):
+            checks[c] = fids.combination(column, alpha_sq).certainly_ge(decomp.values[c])
         verdicts, overall = triage(checks)
         return ReductionCertificate(
             relation=relation,

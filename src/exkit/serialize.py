@@ -120,7 +120,7 @@ def relation_to_json(relation: Relation) -> dict:
 
 
 def relation_from_json(obj: dict) -> Relation:
-    kind = obj["kind"]
+    kind = _object(obj, "a relation")["kind"]
     if kind == "exchangeable":
         return Exchangeable()
     if kind == "markov":

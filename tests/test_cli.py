@@ -208,6 +208,8 @@ def test_missing_file_exit_code(capsys):
 
 
 CHSH_ZERO_DENOMINATOR = {**serialize.game_to_json(chsh_game()), "T": {"1,1": "1/0"}}
+GOLDEN = Path(__file__).parent / "data" / "golden"
+CERT_MARKOV = json.loads((GOLDEN / "certify_markov_d2_n4.json").read_text())
 
 
 @pytest.mark.parametrize("argv, content", [
@@ -220,6 +222,8 @@ CHSH_ZERO_DENOMINATOR = {**serialize.game_to_json(chsh_game()), "T": {"1,1": "1/
     (["certify", "{file}", "--verify"], [1, 2]),
     (["certify", "{file}"], {"d": 2, "n": 2, "factors": 5, "entries": {"11": "1"}}),
     (["game", "{file}"], {**serialize.game_to_json(chsh_game()), "V": [1, 2]}),
+    (["certify", "{file}", "--verify"], {**CERT_MARKOV, "relation": [1, 2]}),
+    (["certify", "{file}", "--verify"], {**CERT_MARKOV, "options": "tight"}),
 ])
 def test_malformed_file_exits_4(argv, content, chsh_file, tmp_path, capsys):
     # Exit 1 means "the certificate fails"; a malformed file is an input error.
@@ -248,16 +252,26 @@ def test_csv_and_pretty_formats(capsys):
     assert code == 0 and "beta_exact: 7/2" in out
 
 
-def test_precision_env_var(chsh_file, capsys, monkeypatch):
-    monkeypatch.setenv("EXKIT_PRECISION_BITS", "32")
-    code = main(["alpha", "--relation", "exchangeable", "--d", "2", "--n", "4"])
-    assert code == 4  # must be >= 64
-    monkeypatch.setenv("EXKIT_PRECISION_BITS", "256")
-    code = main(["alpha", "--relation", "exchangeable", "--d", "2", "--n", "4"])
-    assert code == 0
+def test_precision_bits_flag_minimum(capsys):
+    argv = ["alpha", "--relation", "exchangeable", "--d", "2", "--n", "4"]
+    assert main(argv + ["--precision-bits", "32"]) == 4  # must be >= 64
+    assert main(argv + ["--precision-bits", "256"]) == 0
 
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
+@pytest.mark.parametrize("options, detail", [
+    ({"bits": 8}, "precision must be >= 64 bits"),
+    ({"bits": -8}, "precision must be >= 64 bits"),
+    ({"alpha_mode": "bogus"}, "unknown alpha mode 'bogus'"),
+])
+def test_verify_rejects_bad_certificate_options(options, detail, tmp_path, capsys):
+    # The certificate's own options are checked as the flags would be.
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({**CERT_MARKOV, "options": {**CERT_MARKOV["options"], **options}}))
+    code = main(["certify", str(path), "--verify"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert json.loads(captured.err)["detail"] == detail
 
 
 @pytest.mark.parametrize("fmt, golden", [

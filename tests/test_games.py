@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-import exkit.games as games
+import exkit.reduction as reduction
 from exkit.errors import BadParams, CapExceeded, KernelNotStationary, NotExchangeable
 from exkit.games import (
     Game,
@@ -292,8 +292,8 @@ def test_bound_fallbacks_reproduce_the_bound(monkeypatch):
     assert not report.bound.is_point  # the bracketed path, not the all-point one
     # Brackets that straddle a grid point or leave bound >= winning open fall
     # back to the exact bound, which prints the same and decides the same.
-    monkeypatch.setattr(games, "grid_interval", lambda *args: None)
-    monkeypatch.setattr(games, "scaled_certainly_ge", lambda *args: None)
+    monkeypatch.setattr(reduction, "grid_interval", lambda *args: None)
+    monkeypatch.setattr(reduction, "scaled_certainly_ge", lambda *args: None)
     exact = definetti_upper_bound(CHSH, 2, sym, mode="parallel")
     assert exact.bound.to_json() == report.bound.to_json()
     assert exact.bound_ge_winning is report.bound_ge_winning is True

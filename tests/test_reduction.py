@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,10 +11,10 @@ from exkit.core import Alphabet, dirac, make_distribution, tensor_power, uniform
 from exkit.errors import BadParams, EmptyClass, NotExchangeable
 from exkit.intervals import IntervalScalar
 from exkit.reduction import (
+    Combination,
     Fidelities,
     alpha_analytic,
     alpha_tight,
-    column_check,
     decompose,
     empirical_pi,
     fidelity_squared,
@@ -315,6 +316,24 @@ def test_stirling_examples():
         assert upper.certainly_ge(math.factorial(p))
 
 
+def test_unknown_alpha_mode_is_rejected():
+    with pytest.raises(BadParams):
+        verify_flexible_reduction(uniform(A2, 2), MARKOV, alpha_mode="bogus")
+
+
+def test_combination_prints_and_decides_as_the_exact_sum():
+    p = random_invariant(A3, 4, EXCHANGEABLE, random.Random(9))
+    fids = Fidelities(decompose(p, EXCHANGEABLE))
+    scale = IntervalScalar(Fraction(3, 2), Fraction(5, 3))
+    combo = fids.combination([(k, k + 1, 7) for k in range(len(fids.printed))], scale)
+    exact = combo.exact
+    assert not exact.is_point
+    assert combo.interval().to_json() == exact.to_json()
+    for value in (exact.lo, exact.hi, (exact.lo + exact.hi) / 2, exact.lo * Fraction(99, 100),
+                  exact.hi * Fraction(101, 100)):
+        assert combo.certainly_ge(value) is exact.certainly_ge(value)
+
+
 def test_markov_lmarkov1_verdicts_agree():
     rng = random.Random(17)
     for _ in range(5):
@@ -342,19 +361,30 @@ def test_straddled_grid_point_takes_the_exact_fidelity_path(alphabet, n, relatio
     assert _certificate_text(p, relation) == expected
 
 
+def _one_row(bracket, exact):
+    """A single fidelity row with the given bracket at shift 64 and exact
+    interval, as a ``Combination`` reads it."""
+    return SimpleNamespace(
+        brackets=[bracket], shift=64, bits=128, exact=lambda k: exact(), printed=[None]
+    )
+
+
 def test_undecided_rhs_enclosure_gives_the_exact_verdict():
     alpha_sq = IntervalScalar(Fraction(3, 2), Fraction(5, 3))
     exact = IntervalScalar(Fraction(1, 3), Fraction(1, 2))
     # [rhs] * alpha_sq = [1/2, 5/6]: below, inside and above it.
     for value, verdict in ((Fraction(1, 2), True), (Fraction(2, 3), None), (Fraction(6, 7), False)):
         assert (exact * alpha_sq).certainly_ge(value) is verdict
-        wide = (0, 2**70)  # [0, 2^6] at shift 64 decides nothing here
-        assert column_check(wide, 64, alpha_sq, value, lambda: exact) is verdict
-    # A deciding enclosure never calls the exact fallback.
+        wide = (0, 0, 2**70, 2**70)  # [0, 2^6] at shift 64 decides nothing here
+        rhs = Combination(_one_row(wide, lambda: exact), [(0, 1, 1)], alpha_sq)
+        assert rhs.certainly_ge(value) is verdict
+    # A deciding enclosure never computes the exact sum.
     def unused():
         raise AssertionError("exact right-hand side computed")
-    assert column_check((2**63, 2**63), 64, alpha_sq, Fraction(1, 2), unused) is True
-    assert column_check((0, 2**63), 64, alpha_sq, Fraction(6, 7), unused) is False
+    half = Combination(_one_row((2**63,) * 4, unused), [(0, 1, 1)], alpha_sq)
+    assert half.certainly_ge(Fraction(1, 2)) is True
+    low = Combination(_one_row((0, 0, 2**63, 2**63), unused), [(0, 1, 1)], alpha_sq)
+    assert low.certainly_ge(Fraction(6, 7)) is False
 
 
 @pytest.mark.parametrize("alphabet, n, relation", [(A3, 4, EXCHANGEABLE), (A2, 6, MARKOV)])
