@@ -33,7 +33,6 @@ from .games import (
     iid_kernel,
     parallel_game,
     sequential_game,
-    symmetrize_strategy,
     tensor_strategy,
 )
 from .intervals import DEFAULT_BITS
@@ -44,8 +43,6 @@ from .reduction import (
     verify_flexible_reduction,
 )
 from .relations import (
-    EXCHANGEABLE,
-    MARKOV,
     Exchangeable,
     LMarkov,
     Markov,
@@ -271,6 +268,18 @@ def _reject_flags(args, context: str, consistent: dict | None = None, also: tupl
         raise ExkitError(f"{', '.join(conflicts)} conflicts with {context}")
 
 
+def _certificate(dist, relation, bits: int, cap: int, alpha_mode: str):
+    """The certificate and its JSON: the conditional reduction when
+    ``relation`` is None, else the flexible one, which records its relation."""
+    if relation is None:
+        cert = verify_conditional_reduction(dist, bits, cap)
+        return cert, serialize.conditional_certificate_to_json(cert)
+    cert = verify_flexible_reduction(dist, relation, bits, cap=cap, alpha_mode=alpha_mode)
+    payload = serialize.reduction_certificate_to_json(cert)
+    payload["relation"] = serialize.relation_to_json(relation)
+    return cert, payload
+
+
 def cmd_certify(args) -> int:
     with open(args.file) as fh:
         obj = json.load(fh)
@@ -285,15 +294,8 @@ def cmd_certify(args) -> int:
             "the conditional reduction (exchangeable relation, analytic alpha)",
             {"--relation": "exchangeable", "--alpha-mode": "analytic"},
         )
-        cert = verify_conditional_reduction(dist, bits, args.enum_cap)
-        payload = serialize.conditional_certificate_to_json(cert)
-    else:
-        relation = _relation_from_args(args)
-        cert = verify_flexible_reduction(
-            dist, relation, bits, cap=args.enum_cap, alpha_mode=alpha_mode
-        )
-        payload = serialize.reduction_certificate_to_json(cert)
-        payload["relation"] = serialize.relation_to_json(relation)
+    relation = None if args.conditional else _relation_from_args(args)
+    cert, payload = _certificate(dist, relation, bits, args.enum_cap, alpha_mode)
     payload["input"] = obj
     payload["options"] = {
         "conditional": bool(args.conditional),
@@ -322,16 +324,12 @@ def _recheck_certificate(args, cert_obj: dict) -> int:
         )
     dist = serialize.distribution_from_json(cert_obj["input"])
     bits = _checked_bits(int(options.get("bits", DEFAULT_BITS)))
-    if options.get("conditional"):
-        cert = verify_conditional_reduction(dist, bits, args.enum_cap)
-        fresh = serialize.conditional_certificate_to_json(cert)
-    else:
-        relation = serialize.relation_from_json(cert_obj["relation"])
-        cert = verify_flexible_reduction(
-            dist, relation, bits, cap=args.enum_cap, alpha_mode=options.get("alpha_mode", "analytic")
-        )
-        fresh = serialize.reduction_certificate_to_json(cert)
-        fresh["relation"] = serialize.relation_to_json(relation)
+    relation = (
+        None if options.get("conditional") else serialize.relation_from_json(cert_obj["relation"])
+    )
+    cert, fresh = _certificate(
+        dist, relation, bits, args.enum_cap, options.get("alpha_mode", "analytic")
+    )
     fresh["input"] = cert_obj["input"]
     fresh["options"] = options
     match = serialize.dumps(fresh) == serialize.dumps(cert_obj)
@@ -442,10 +440,8 @@ def cmd_game(args) -> int:
             base = serialize.strategy_from_json(json.load(fh))
     else:
         base = witness
-    relation = EXCHANGEABLE if args.mode == "parallel" else MARKOV
-    strategy = symmetrize_strategy(
-        game, repeated, tensor_strategy(game, base, n), relation, args.enum_cap
-    )
+    # A tensor power's joint weight is already constant on the classes.
+    strategy = tensor_strategy(game, base, n)
     report = definetti_upper_bound(
         game, n, strategy, mode=args.mode, kernel=kernel, bits=bits, cap=args.enum_cap
     )
@@ -453,7 +449,8 @@ def cmd_game(args) -> int:
     payload["bound"] = report.bound.to_json()
     payload["bound_ge_winning"] = bool(report.bound_ge_winning)
     payload["alpha_certified"] = serialize.rational_str(report.alpha_certified)
-    payload["prefactor_analytic"] = report.prefactor_analytic.to_json()
+    analytic = report.prefactor_analytic
+    payload["prefactor_analytic"] = None if analytic is None else analytic.to_json()
     payload["degree"] = report.degree
     payload["per_pi"] = [
         {

@@ -12,7 +12,7 @@ probability by a mixture of per-round i.i.d. / Markov surrogates.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -39,6 +39,11 @@ class Game:
             raise BadParams("input law must be a probability distribution")
         object.__setattr__(self, "input_law", law)
         object.__setattr__(self, "predicate", frozenset(self.predicate))
+
+    @property
+    def axes(self) -> tuple:
+        """One round's input and output sets: X, Y, A, B."""
+        return (self.inputs_x, self.inputs_y, self.outputs_a, self.outputs_b)
 
     def law(self, x, y) -> Fraction:
         return self.input_law.get((x, y), ZERO)
@@ -237,24 +242,22 @@ def sequential_game(
 
 
 def _round_alphabet(game: Game) -> Alphabet:
-    sizes = (
-        len(game.inputs_x),
-        len(game.inputs_y),
-        len(game.outputs_a),
-        len(game.outputs_b),
-    )
-    return Alphabet(sizes[0] * sizes[1] * sizes[2] * sizes[3], sizes)
+    sizes = tuple(map(len, game.axes))
+    return Alphabet(math.prod(sizes), sizes)
+
+
+def _letter_of(game: Game):
+    """The map from one round's play (x, y, a, b) to its round-alphabet letter."""
+    alphabet = _round_alphabet(game)
+    index = [{v: i for i, v in enumerate(axis)} for axis in game.axes]
+    return lambda play: alphabet.pack(tuple(ix[v] for ix, v in zip(index, play)))
 
 
 def joint_weight(
     game: Game, repeated: Game, strategy: Strategy, n: int
 ) -> FiniteDistribution:
     """Distribution of one play on (X x Y x A x B)^n: input law times strategy."""
-    alphabet = _round_alphabet(game)
-    xi = {x: i for i, x in enumerate(game.inputs_x)}
-    yi = {y: i for i, y in enumerate(game.inputs_y)}
-    ai = {a: i for i, a in enumerate(game.outputs_a)}
-    bi = {b: i for i, b in enumerate(game.outputs_b)}
+    letter = _letter_of(game)
     entries: dict[Word, Fraction] = {}
     for (xt, yt), t in repeated.input_law.items():
         if not t:
@@ -262,27 +265,19 @@ def joint_weight(
         for (at, bt), p in strategy.table.get((xt, yt), {}).items():
             if not p:
                 continue
-            if n == 1:
-                xt_, yt_, at_, bt_ = (xt,), (yt,), (at,), (bt,)
-            else:
-                xt_, yt_, at_, bt_ = xt, yt, at, bt
-            word = tuple(
-                alphabet.pack((xi[x], yi[y], ai[a], bi[b]))
-                for x, y, a, b in zip(xt_, yt_, at_, bt_)
-            )
+            plays = [(xt, yt, at, bt)] if n == 1 else zip(xt, yt, at, bt)
+            word = tuple(map(letter, plays))
             entries[word] = entries.get(word, ZERO) + t * p
-    return FiniteDistribution(alphabet, n, entries)
+    return FiniteDistribution(_round_alphabet(game), n, entries)
 
 
 def _word_to_play(game: Game, word: Word, alphabet: Alphabet):
-    xs, ys, as_, bs = [], [], [], []
-    for letter in word:
-        x, y, a, b = alphabet.unpack(letter)
-        xs.append(game.inputs_x[x])
-        ys.append(game.inputs_y[y])
-        as_.append(game.outputs_a[a])
-        bs.append(game.outputs_b[b])
-    return tuple(xs), tuple(ys), tuple(as_), tuple(bs)
+    """The x, y, a and b tuples of a word: the inverse of ``_letter_of``."""
+    plays = [
+        tuple(axis[i] for axis, i in zip(game.axes, alphabet.unpack(letter)))
+        for letter in word
+    ]
+    return tuple(zip(*plays))
 
 
 def symmetrize_strategy(
@@ -350,7 +345,7 @@ def symmetrize_strategy(
 class BoundRow:
     descriptor: object
     fidelity_sq: IntervalScalar
-    predicate_weight: Fraction  # <V, pi_t>^n (parallel) or <V^(x)n, pi_k> (sequential)
+    predicate_weight: Fraction  # <V^(x)n, pi_k> = pi_k(pred^n)
 
 
 @dataclass(frozen=True)
@@ -362,8 +357,8 @@ class BoundReport:
     winning: Fraction
     alpha_certified: Fraction  # max per-class tight ratio, used in the bound
     prefactor_certified: IntervalScalar  # N * alpha_certified^2
-    prefactor_analytic: IntervalScalar  # N * alpha(n)^2 from the closed form
-    degree: int
+    prefactor_analytic: Optional[IntervalScalar]  # N * alpha(n)^2, None where undefined
+    degree: Optional[int]
     rows: tuple[BoundRow, ...]
 
 
@@ -381,7 +376,8 @@ def definetti_upper_bound(
     Evaluates N * alpha^2 * sum_k (1/N) F(W, pi_k)^2 <V, pi_k> with W the
     played joint weight, using the exact max per-class ratio as alpha so the
     bound is a true upper bound at every n; the closed-form analytic
-    pre-factor and its polynomial degree are reported alongside.
+    pre-factor and its polynomial degree are reported alongside, or None
+    where the closed form is undefined (sequential mode at n = 1).
     """
     if mode == "parallel":
         repeated = parallel_game(game, n, cap)
@@ -399,41 +395,13 @@ def definetti_upper_bound(
     decomp = decompose(w, relation, cap)  # raises NotExchangeable with witness
     descriptors = decomp.index.descriptors()
 
-    predicate_letters = frozenset(
-        alphabet.pack(
-            (
-                game.inputs_x.index(x),
-                game.inputs_y.index(y),
-                game.outputs_a.index(a),
-                game.outputs_b.index(b),
-            )
-        )
-        for (x, y, a, b) in game.predicate
-    )
-
-    if mode == "sequential":
-        # <V^(x)n, pi_k> = sum over the winning words; pi_k is constant on
-        # classes, so the words are typed once and counted per class.
-        if len(predicate_letters) ** n > cap:
-            raise CapExceeded("predicate power too large for the sequential bound")
-        predicate_classes = Counter(
-            type_of(word, relation, alphabet)
-            for word in itertools.product(sorted(predicate_letters), repeat=n)
-        )
-
+    # <V^(x)n, pi_k> = pi_k(pred^n): the win predicate is an AND over rounds.
+    predicate_letters = frozenset(map(_letter_of(game), game.predicate))
     fids = Fidelities(decomp, bits)
-    rows = []
-    for k, descr in enumerate(descriptors):
-        if mode == "parallel":
-            single = sum(
-                (Fraction(descr.counts[z], n) for z in predicate_letters), ZERO
-            )
-            weight = single**n
-        else:
-            weight = sum(
-                (count * descr.pi_at(c) for c, count in predicate_classes.items()), ZERO
-            )
-        rows.append(BoundRow(descr, fids.printed[k], weight))
+    rows = [
+        BoundRow(descr, fids.printed[k], descr.pi_mass(predicate_letters))
+        for k, descr in enumerate(descriptors)
+    ]
 
     alpha_cert = max(alpha_tight(d, n) for d in descriptors)
     alpha_sq = alpha_cert * alpha_cert
@@ -446,7 +414,12 @@ def definetti_upper_bound(
         IntervalScalar.exact(alpha_sq, bits),
     )
 
-    analytic = alpha_analytic(relation, n, alphabet, bits)
+    try:
+        analytic = alpha_analytic(relation, n, alphabet, bits)
+    except BadParams:  # the closed form is undefined for l-Markov at n <= l
+        prefactor = degree = None
+    else:
+        prefactor, degree = analytic.squared * decomp.index.N, analytic.degree
     return BoundReport(
         mode=mode,
         n=n,
@@ -455,8 +428,8 @@ def definetti_upper_bound(
         winning=winning,
         alpha_certified=alpha_cert,
         prefactor_certified=IntervalScalar.exact(decomp.index.N * alpha_sq, bits),
-        prefactor_analytic=analytic.squared * decomp.index.N,
-        degree=analytic.degree,
+        prefactor_analytic=prefactor,
+        degree=degree,
         rows=tuple(rows),
     )
 

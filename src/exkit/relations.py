@@ -270,7 +270,8 @@ class TypeDescriptor:
 
     Subclasses provide ``relation()``, ``alphabet()``, ``sort_key()``,
     ``class_size(n)``, ``members(n, cap)``, ``representative(n)``,
-    ``pi_ratio(c)``, ``pi_summary(n)`` and ``to_json()``.
+    ``pi_ratio(c)``, ``pi_summary(n)`` and ``to_json()``; exchangeable and
+    l-Markov descriptors also provide ``pi_mass(letters)``.
     """
 
     def pi_at(self, c: "TypeDescriptor") -> Fraction:
@@ -326,6 +327,12 @@ class ExchangeableType(TypeDescriptor):
                     return 0, 1
                 num *= tk**tc
         return num, sum(self.counts) ** sum(c.counts)
+
+    def pi_mass(self, letters) -> Fraction:
+        """pi_k(L^n) for the letter set L at the class's word length n:
+        (sum_{z in L} t_z / n)^n."""
+        n = sum(self.counts)
+        return Fraction(sum(self.counts[z] for z in letters), n) ** n
 
     def pi_summary(self, n: int) -> dict:
         return {"pi": [rational_str(Fraction(c, n)) for c in self.counts]}
@@ -471,6 +478,25 @@ class LMarkovType(TypeDescriptor):
                         return 0, 1
                     num *= tk**tc
         return num, den
+
+    def pi_mass(self, letters) -> Fraction:
+        """pi_k(L^n) for the letter set L at the class's word length n: the
+        chain starts at the start gram (0 if it uses a letter outside L) and
+        takes n - l steps through ``kernel`` on the letters of L."""
+        if not set(self.start) <= set(letters):
+            return ZERO
+        d, m = self.d, len(self.trans)
+        mass = {gram_rank(self.start, d): ONE}
+        for _ in range(sum(self.row_sums)):
+            step: dict[int, Fraction] = {}
+            for g, p in mass.items():
+                row, r = self.kernel[g]
+                for z in letters:
+                    if row[z]:
+                        h = (g * d + z) % m
+                        step[h] = step.get(h, ZERO) + p * Fraction(row[z], r)
+            mass = step
+        return sum(mass.values(), ZERO)
 
     def start_json(self):
         return [v + 1 for v in self.start]

@@ -177,6 +177,16 @@ def test_game_sequential_iid_matches_parallel(chsh_file, capsys):
     assert payload["bound_ge_winning"] is True
 
 
+def test_game_sequential_n1_bound_without_analytic_prefactor(chsh_file, capsys):
+    # The closed-form Markov pre-factor needs n >= 2; the certified bound does not.
+    code, out = run(capsys, "game", chsh_file, "--n", "1", "--mode", "sequential")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["bound_ge_winning"] is True
+    assert payload["prefactor_analytic"] is None
+    assert payload["degree"] is None
+
+
 @pytest.mark.parametrize("kernel", ["stationary", "non-stationary", "missing"])
 @pytest.mark.parametrize("mode", [[], ["--mode", "parallel"]])
 def test_game_kernel_conflicts_with_parallel_mode(kernel, mode, chsh_file, tmp_path, capsys):

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -276,3 +278,23 @@ def test_end_gram_is_where_every_member_ends(relation, d, n):
         assert ends == {descr.end}
     assert MarkovType(0, ((0, 0), (1, 0))).end is None
     assert MarkovType(0, ((0, 1), (1, 0))).end == 0
+
+
+@pytest.mark.parametrize("relation, d, n", [
+    (EXCHANGEABLE, 3, 4), (MARKOV, 3, 4), (LMarkov(2), 2, 5),
+])
+def test_pi_mass_is_the_sum_over_the_letter_power(relation, d, n):
+    # Reference: type every word of L^n and add pi_k over the words.
+    alphabet = Alphabet(d)
+    descriptors = enumerate_types(relation, alphabet, n).descriptors()
+    for size in range(1, d + 1):
+        for letters in itertools.combinations(range(d), size):
+            counted = Counter(
+                type_of(w, relation, alphabet) for w in itertools.product(letters, repeat=n)
+            )
+            for k in descriptors:
+                mass = k.pi_mass(frozenset(letters))
+                assert mass == sum(m * k.pi_at(c) for c, m in counted.items())
+                # On the full alphabet the uniform rows of unvisited grams
+                # carry the walks that leave the visited ones.
+                assert size < d or mass == 1
