@@ -31,8 +31,6 @@ from .games import (
     classical_value,
     definetti_upper_bound,
     iid_kernel,
-    parallel_game,
-    sequential_game,
     tensor_strategy,
 )
 from .intervals import DEFAULT_BITS
@@ -425,15 +423,6 @@ def cmd_game(args) -> int:
                 kernel = serialize.kernel_from_json(json.load(fh))
         else:
             kernel = iid_kernel(game)
-        repeated = sequential_game(game, kernel, n, args.enum_cap)
-    else:
-        repeated = parallel_game(game, n, args.enum_cap)
-
-    try:
-        repeated_value, _ = classical_value(repeated, args.enum_cap)
-        payload["repeated_value"] = serialize.rational_str(repeated_value)
-    except CapExceeded:
-        payload["repeated_value"] = None
 
     if args.strategy:
         with open(args.strategy) as fh:
@@ -441,10 +430,15 @@ def cmd_game(args) -> int:
     else:
         base = witness
     # A tensor power's joint weight is already constant on the classes.
-    strategy = tensor_strategy(game, base, n)
+    strategy = tensor_strategy(game, base, n, args.enum_cap)
     report = definetti_upper_bound(
         game, n, strategy, mode=args.mode, kernel=kernel, bits=bits, cap=args.enum_cap
     )
+    try:
+        repeated_value, _ = classical_value(report.repeated, args.enum_cap)
+        payload["repeated_value"] = serialize.rational_str(repeated_value)
+    except CapExceeded:
+        payload["repeated_value"] = None
     payload["strategy_winning"] = serialize.rational_str(report.winning)
     payload["bound"] = report.bound.to_json()
     payload["bound_ge_winning"] = bool(report.bound_ge_winning)

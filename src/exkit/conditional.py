@@ -42,6 +42,7 @@ from .reduction import (
     check_exchangeable,
     decompose,
     empirical_pi,
+    pi_table,
     triage,
     uniform_class_dist,
 )
@@ -282,17 +283,15 @@ def verify_conditional_reduction(
     # pi_k(a|x) = pi_k(c) / sigma_k(x_c).  Both are integer products over
     # n^n, so each term is prod_z t_{k,z}^t_{c,z} / prod_x s_{k,x}^s_{c,x};
     # the k sharing one sigma share the divisor, so their numerators are
-    # summed first.  A term with pi_k(c) > 0 has sigma_k(x_c) > 0.
-    by_sigma: dict[ExchangeableType, list[ExchangeableType]] = {}
-    for descr_k, sigma_k in zip(descriptors, sigma):
-        by_sigma.setdefault(sigma_k, []).append(descr_k)
+    # summed first, over the k with pi_k(c) > 0 only, which have
+    # sigma_k(x_c) > 0.
+    by_column: list[Counter[ExchangeableType]] = [Counter() for _ in descriptors]
+    for sigma_k, row in zip(sigma, pi_table(descriptors, descriptors)):
+        for c, num, _ in row:
+            by_column[c][sigma_k] += num
     rhs_sums = []
-    for descr_c, sigma_c in zip(descriptors, sigma):
-        terms = []
-        for sigma_k, group in by_sigma.items():
-            num = sum(descr_k.pi_ratio(descr_c)[0] for descr_k in group)
-            if num:
-                terms.append((num, sigma_k.pi_ratio(sigma_c)[0]))
+    for sigma_c, sums in zip(sigma, by_column):
+        terms = [(num, sigma_k.pi_ratio(sigma_c)[0]) for sigma_k, num in sums.items()]
         den = math.lcm(*(s for _, s in terms))
         rhs_sums.append(Fraction(sum(num * (den // s) for num, s in terms), den))
 

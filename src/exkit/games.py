@@ -132,18 +132,19 @@ def classical_value(game: Game, cap: int = DEFAULT_ENUM_CAP) -> tuple[Fraction, 
     return best[0], deterministic_strategy(game, best[1], best[2])
 
 
+def _check_repeated_size(game: Game, n: int, cap: int) -> None:
+    """CapExceeded when the n-round plays, (|X||Y||A||B|)^n, exceed ``cap``."""
+    if math.prod(map(len, game.axes)) ** n > cap:
+        raise CapExceeded("repeated game exceeds enumeration cap")
+
+
 def parallel_game(game: Game, n: int, cap: int = DEFAULT_ENUM_CAP) -> Game:
     """n parallel rounds: i.i.d. inputs, win iff every round's predicate holds."""
     if n < 1:
         raise BadParams("n must be >= 1")
     if n == 1:
         return game
-    size = (
-        (len(game.inputs_x) * len(game.inputs_y)) ** n
-        * (len(game.outputs_a) * len(game.outputs_b)) ** n
-    )
-    if size > cap:
-        raise CapExceeded("repeated game exceeds enumeration cap")
+    _check_repeated_size(game, n, cap)
     xs = tuple(itertools.product(game.inputs_x, repeat=n))
     ys = tuple(itertools.product(game.inputs_y, repeat=n))
     as_ = tuple(itertools.product(game.outputs_a, repeat=n))
@@ -360,6 +361,7 @@ class BoundReport:
     prefactor_analytic: Optional[IntervalScalar]  # N * alpha(n)^2, None where undefined
     degree: Optional[int]
     rows: tuple[BoundRow, ...]
+    repeated: Game  # the repeated game played, for its classical value
 
 
 def definetti_upper_bound(
@@ -431,13 +433,20 @@ def definetti_upper_bound(
         prefactor_analytic=prefactor,
         degree=degree,
         rows=tuple(rows),
+        repeated=repeated,
     )
 
 
-def tensor_strategy(game: Game, strategy: Strategy, n: int) -> Strategy:
-    """Play the same single-round strategy independently in every round."""
+def tensor_strategy(
+    game: Game, strategy: Strategy, n: int, cap: int = DEFAULT_ENUM_CAP
+) -> Strategy:
+    """Play the same single-round strategy independently in every round.
+
+    Its rows and entries are bounded by the repeated game's plays, so it
+    raises CapExceeded where ``parallel_game`` does."""
     if n == 1:
         return strategy
+    _check_repeated_size(game, n, cap)
     table: dict[tuple, dict[tuple, Fraction]] = {}
     for xt in itertools.product(game.inputs_x, repeat=n):
         for yt in itertools.product(game.inputs_y, repeat=n):

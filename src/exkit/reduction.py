@@ -243,6 +243,38 @@ def fidelity_squared(
 # -- simplex decomposition ---------------------------------------------------------
 
 
+def pi_table(
+    rows: Sequence[TypeDescriptor], columns: Sequence[TypeDescriptor]
+) -> list[list[tuple[int, int, int]]]:
+    """For each row class k, (j, num, den) with pi_k(columns[j]) = num/den
+    as ``pi_ratio``'s unreduced integers, for exactly the j where it is
+    nonzero, in column order.
+
+    pi_k(c) != 0 iff their ``support_signature``s are compatible, so the
+    columns are grouped by (key, need) and the rows by (key, cover), each
+    pair of groups is tested once, and ``pi_ratio`` runs on the compatible
+    pairs only.
+    """
+    groups: dict = {}
+    for j, c in enumerate(columns):
+        key, need, _ = c.support_signature
+        groups.setdefault(key, {}).setdefault(need, []).append(j)
+    compatible: dict = {}
+    table = []
+    for k in rows:
+        key, _, cover = k.support_signature
+        js = compatible.get((key, cover))
+        if js is None:
+            js = compatible[(key, cover)] = sorted(
+                j
+                for need, group in groups.get(key, {}).items()
+                if not need & ~cover
+                for j in group
+            )
+        table.append([(j, *k.pi_ratio(columns[j])) for j in js])
+    return table
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """P = sum_k mu_k Q_k with mu_k = |C_k| P(C_k): the class table every
@@ -261,13 +293,11 @@ class Decomposition:
         return tuple(c for c, mu in enumerate(self.weights) if mu)
 
     @cached_property
-    def pi_ratios(self) -> list[list[tuple[int, int]]]:
-        """pi_k(c) as ``pi_ratio``'s unreduced integers (num, den) for every
-        class k and every supported class c (columns in ``support`` order):
-        a fidelity with P sums over supp P only."""
+    def pi_rows(self) -> list[list[tuple[int, int, int]]]:
+        """``pi_table`` of every class against the supported ones: a
+        fidelity with P sums over supp P only, so j indexes ``support``."""
         descriptors = self.index.descriptors()
-        columns = [descriptors[c] for c in self.support]
-        return [[k.pi_ratio(c) for c in columns] for k in descriptors]
+        return pi_table(descriptors, [descriptors[c] for c in self.support])
 
     def remix(self, cap: int = DEFAULT_ENUM_CAP) -> FiniteDistribution:
         entries: dict[Word, Fraction] = {}
@@ -309,13 +339,13 @@ class Fidelities:
         ]
         self.printed: list[IntervalScalar] = []
         self.brackets: list[tuple[int, int, int, int]] = []
-        for k, row in enumerate(decomp.pi_ratios):
+        for k, row in enumerate(decomp.pi_rows):
             terms = []
-            for (num, den), (vn, vd, size) in zip(row, columns):
-                if num:
-                    p, q = vn * num, vd * den
-                    g = math.gcd(p, q)
-                    terms.append((p // g, q // g, size))
+            for j, num, den in row:
+                vn, vd, size = columns[j]
+                p, q = vn * num, vd * den
+                g = math.gcd(p, q)
+                terms.append((p // g, q // g, size))
             printed, bracket = self._row(k, terms)
             self.printed.append(printed)
             self.brackets.append(bracket)
@@ -353,11 +383,10 @@ class Fidelities:
         """Row k through the one exact path, computed on first use."""
         if k not in self._exact:
             decomp = self.decomp
-            pairs = [
-                (decomp.values[c] * Fraction(num, den), decomp.index.items[c][1])
-                for c, (num, den) in zip(decomp.support, decomp.pi_ratios[k])
-                if num
-            ]
+            pairs = []
+            for j, num, den in decomp.pi_rows[k]:
+                c = decomp.support[j]
+                pairs.append((decomp.values[c] * Fraction(num, den), decomp.index.items[c][1]))
             self._exact[k] = fidelity_sq_from_pairs(pairs, self.bits)
         return self._exact[k]
 
@@ -534,10 +563,9 @@ def verify_flexible_reduction(
     tight_max = max(tight)
     # The pi table by columns: pi_k(c) != 0 as (k, num, den) for each c in supp P.
     columns: list[list[tuple[int, int, int]]] = [[] for _ in decomp.support]
-    for k, row in enumerate(decomp.pi_ratios):
-        for column, (num, den) in zip(columns, row):
-            if num:
-                column.append((k, num, den))
+    for k, row in enumerate(decomp.pi_rows):
+        for j, num, den in row:
+            columns[j].append((k, num, den))
 
     def attempt(bits: int) -> ReductionCertificate:
         analytic = alpha_analytic(relation, n, p.alphabet, bits)

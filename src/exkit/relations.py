@@ -270,8 +270,14 @@ class TypeDescriptor:
 
     Subclasses provide ``relation()``, ``alphabet()``, ``sort_key()``,
     ``class_size(n)``, ``members(n, cap)``, ``representative(n)``,
-    ``pi_ratio(c)``, ``pi_summary(n)`` and ``to_json()``; exchangeable and
-    l-Markov descriptors also provide ``pi_mass(letters)``.
+    ``pi_ratio(c)``, ``support_signature``, ``pi_summary(n)`` and
+    ``to_json()``; exchangeable and l-Markov descriptors also provide
+    ``pi_mass(letters)`` and ``cells``, the bit width of their signature
+    masks.
+
+    ``support_signature`` is (key, need, cover) with pi_k(c) != 0 exactly
+    when key_k == key_c and need_c & ~cover_k == 0: ``pi_table`` reads it to
+    call ``pi_ratio`` on those pairs only.
     """
 
     def pi_at(self, c: "TypeDescriptor") -> Fraction:
@@ -327,6 +333,17 @@ class ExchangeableType(TypeDescriptor):
                     return 0, 1
                 num *= tk**tc
         return num, sum(self.counts) ** sum(c.counts)
+
+    @property
+    def cells(self) -> int:
+        return len(self.counts)
+
+    @cached_property
+    def support_signature(self) -> tuple[None, int, int]:
+        """No key; need = cover = the letters with t > 0, so the test is
+        supp(c) within supp(k)."""
+        mask = sum(1 << z for z, t in enumerate(self.counts) if t)
+        return None, mask, mask
 
     def pi_mass(self, letters) -> Fraction:
         """pi_k(L^n) for the letter set L at the class's word length n:
@@ -479,6 +496,25 @@ class LMarkovType(TypeDescriptor):
                     num *= tk**tc
         return num, den
 
+    @property
+    def cells(self) -> int:
+        return len(self.trans) * self.d
+
+    @cached_property
+    def support_signature(self) -> tuple[tuple[int, ...], int, int]:
+        """Key the start gram; need the cells g d + z with t_{g,z} > 0; cover
+        those plus every cell of a gram k never visits, where pi_k's kernel
+        row is uniform."""
+        d = self.d
+        need = cover = 0
+        for g, (row, r) in enumerate(zip(self.trans, self.row_sums)):
+            for z, t in enumerate(row):
+                if t:
+                    need |= 1 << (g * d + z)
+            if not r:
+                cover |= ((1 << d) - 1) << (g * d)
+        return self.start, need, need | cover
+
     def pi_mass(self, letters) -> Fraction:
         """pi_k(L^n) for the letter set L at the class's word length n: the
         chain starts at the start gram (0 if it uses a letter outside L) and
@@ -585,6 +621,19 @@ class ProductType(TypeDescriptor):
                 return 0, 1
             num, den = num * part_num, den * part_den
         return num, den
+
+    @cached_property
+    def support_signature(self) -> tuple[tuple, int, int]:
+        """The parts' keys as a tuple and their masks side by side: every
+        part must pass its own test."""
+        keys, need, cover, shift = [], 0, 0, 0
+        for part in self.parts:
+            key, part_need, part_cover = part.support_signature
+            keys.append(key)
+            need |= part_need << shift
+            cover |= part_cover << shift
+            shift += part.cells
+        return tuple(keys), need, cover
 
     def pi_summary(self, n: int) -> dict:
         return {"parts": [p.pi_summary(n) for p in self.parts]}

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from exkit import cli, relations, serialize
+from exkit import cli, games, relations, serialize
 from exkit.cli import main
 from exkit.core import Alphabet, make_distribution, tensor_power, uniform
 from exkit.games import chsh_game, iid_kernel
@@ -202,6 +202,23 @@ def test_game_kernel_conflicts_with_parallel_mode(kernel, mode, chsh_file, tmp_p
     assert code == 4
     assert captured.out == ""
     assert json.loads(captured.err)["detail"] == "--kernel conflicts with --mode parallel"
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential"])
+def test_game_builds_the_repeated_game_once(mode, chsh_file, monkeypatch, capsys):
+    builder = {"parallel": "parallel_game", "sequential": "sequential_game"}[mode]
+    calls = []
+    build = getattr(games, builder)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(games, builder, counted)
+    code, out = run(capsys, "game", chsh_file, "--n", "2", "--mode", mode)
+    assert code == 0
+    assert json.loads(out)["repeated_value"] == "5/8"
+    assert len(calls) == 1
 
 
 def test_cap_exceeded_exit_code(chsh_file, capsys):

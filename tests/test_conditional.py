@@ -253,3 +253,25 @@ def test_empirical_alpha_prime_markov_reported_without_claims():
     assert 0 < value <= 1
     for other, _ in enumerate_types(MARKOV, JOINT, 3).items:
         assert empirical_alpha_prime(other, JOINT, 3) > 0
+
+
+def test_conditional_rhs_skips_pairs_where_pi_is_zero(monkeypatch):
+    joint = Alphabet(6, (3, 2))
+    p = random_exchangeable(joint, 5, random.Random(35))
+    calls = []
+    pi_ratio = ExchangeableType.pi_ratio
+
+    def recorded(k, c):
+        calls.append((k, c))
+        return pi_ratio(k, c)
+
+    monkeypatch.setattr(ExchangeableType, "pi_ratio", recorded)
+    cert = verify_conditional_reduction(p)
+    monkeypatch.undo()
+    assert cert.verdict == "holds" and calls
+    # A pair with supp(c) outside supp(k) has pi_k(c) = 0 and is never asked.
+    outside = [
+        (k, c) for k, c in calls if any(tc and not tk for tk, tc in zip(k.counts, c.counts))
+    ]
+    assert outside == []
+    assert len(calls) < cert.N**2

@@ -298,3 +298,10 @@ def test_bound_fallbacks_reproduce_the_bound(monkeypatch):
     assert exact.bound.to_json() == report.bound.to_json()
     assert exact.bound_ge_winning is report.bound_ge_winning is True
     assert exact.bound.certainly_ge(exact.winning) is True
+
+
+def test_tensor_strategy_stays_behind_the_enumeration_cap():
+    _, witness = classical_value(CHSH)
+    assert len(tensor_strategy(CHSH, witness, 3, cap=16**3).table) == 4**3
+    with pytest.raises(CapExceeded):
+        tensor_strategy(CHSH, witness, 3, cap=16**3 - 1)

@@ -17,6 +17,7 @@ from exkit.core import Alphabet, FiniteDistribution, marginal
 from exkit.graphs import transition_graph
 from exkit.intervals import IntervalScalar, run_with_escalation
 from exkit.reduction import (
+    Decomposition,
     alpha_analytic,
     decompose,
     fidelity_sq_from_pairs,
@@ -273,3 +274,29 @@ def test_fidelity_kernel_matches_the_exact_path(case):
             f += decomp.index.items[c][1] * mpmath.sqrt(mpmath.mpf(r.numerator) / r.denominator)
         printed = rec.fidelity_sq.to_json()
         assert mpmath.mpf(printed["lo"]) - slack <= f * f <= mpmath.mpf(printed["hi"]) + slack
+
+
+@st.composite
+def partial_supports(draw):
+    """A decomposition of exchangeable, Markov, l-Markov(2) or exchangeable x
+    Markov classes whose drawn support leaves some classes out."""
+    kind = draw(st.sampled_from(["exchangeable", "markov", "lmarkov2", "product"]))
+    if kind == "product":
+        relation, alphabet, n = ProductRelation((EXCHANGEABLE, MARKOV)), Alphabet(4, (2, 2)), draw(st.integers(1, 3))
+    elif kind == "lmarkov2":
+        relation, alphabet, n = LMarkov(2), Alphabet(2), draw(st.integers(3, 7))
+    else:
+        relation = EXCHANGEABLE if kind == "exchangeable" else MARKOV
+        alphabet, n = Alphabet(draw(st.integers(1, 3))), draw(st.integers(1, 5))
+    index = enumerate_types(relation, alphabet, n)
+    kept = draw(st.lists(st.booleans(), min_size=index.N, max_size=index.N))
+    return Decomposition(index, tuple(Fraction(int(b), index.N) for b in kept))
+
+
+@PROPERTY_SETTINGS
+@given(partial_supports())
+def test_sparse_pi_rows_are_the_nonzero_dense_entries(decomp):
+    descriptors = decomp.index.descriptors()
+    for k, row in zip(descriptors, decomp.pi_rows):
+        dense = [k.pi_ratio(descriptors[c]) for c in decomp.support]
+        assert row == [(j, num, den) for j, (num, den) in enumerate(dense) if num]

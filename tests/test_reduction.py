@@ -12,6 +12,7 @@ from exkit.errors import BadParams, EmptyClass, NotExchangeable
 from exkit.intervals import IntervalScalar
 from exkit.reduction import (
     Combination,
+    Decomposition,
     Fidelities,
     alpha_analytic,
     alpha_tight,
@@ -29,6 +30,7 @@ from exkit.relations import (
     Exchangeable,
     ExchangeableType,
     LMarkov,
+    LMarkovType,
     Markov,
     MarkovType,
     ProductRelation,
@@ -393,3 +395,45 @@ def test_exact_rhs_fallback_reproduces_the_certificate(alphabet, n, relation, mo
     expected = _certificate_text(p, relation)
     monkeypatch.setattr(reduction, "scaled_certainly_ge", lambda *args: None)
     assert _certificate_text(p, relation) == expected
+
+
+def _compatible(k, c):
+    key_k, _, cover = k.support_signature
+    key_c, need, _ = c.support_signature
+    return key_k == key_c and not need & ~cover
+
+
+@pytest.mark.parametrize(
+    "relation, alphabet, n",
+    [
+        (EXCHANGEABLE, A3, 4),
+        (MARKOV, A3, 5),
+        (LMarkov(2), A2, 7),
+        (ProductRelation((EXCHANGEABLE, MARKOV)), Alphabet(4, (2, 2)), 4),
+        (ProductRelation((MARKOV, MARKOV)), Alphabet(4, (2, 2)), 3),
+    ],
+)
+def test_support_signatures_decide_exactly_where_pi_is_nonzero(relation, alphabet, n):
+    descriptors = enumerate_types(relation, alphabet, n).descriptors()
+    seen = set()
+    for k in descriptors:
+        for c in descriptors:
+            nonzero = k.pi_ratio(c)[0] != 0
+            assert _compatible(k, c) == nonzero, (k, c)
+            seen.add(nonzero)
+    assert seen == {True, False}
+
+
+def test_pi_table_calls_pi_ratio_on_the_nonzero_cells_only(monkeypatch):
+    index = enumerate_types(MARKOV, A3, 6)
+    calls = []
+    pi_ratio = LMarkovType.pi_ratio
+
+    def counted(k, c):
+        calls.append((k, c))
+        return pi_ratio(k, c)
+
+    monkeypatch.setattr(LMarkovType, "pi_ratio", counted)
+    rows = Decomposition(index, tuple(Fraction(1, index.N) for _ in index.items)).pi_rows
+    assert len(calls) == sum(map(len, rows)) == 5055
+    assert all(num for row in rows for _, num, _ in row)
