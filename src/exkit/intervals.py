@@ -177,6 +177,8 @@ class IntervalScalar:
         return self._coerce(other) - self
 
     def __mul__(self, other: "IntervalScalar | Rational") -> "IntervalScalar":
+        if isinstance(other, (int, Fraction)) and other >= 0:
+            return IntervalScalar(self.lo * other, self.hi * other, self.bits)
         o = self._coerce(other)
         products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return IntervalScalar(min(products), max(products), min(self.bits, o.bits))

@@ -461,26 +461,40 @@ def check_exchangeable(
     p: FiniteDistribution, relation: Relation, cap: int = DEFAULT_ENUM_CAP
 ) -> dict[TypeDescriptor, Fraction]:
     """Raise NotExchangeable with a witness pair unless P is constant on
-    classes; return P's value on each class of its support."""
-    groups: dict[TypeDescriptor, list[Word]] = {}
-    for word in p.support():
-        groups.setdefault(type_of(word, relation, p.alphabet), []).append(word)
-    for descr, words in groups.items():
-        value = p(words[0])
+    classes; return P's value on each class of its support.
+
+    supp P is grouped by ``relation.word_key``, so each class is typed once,
+    from its first word; the classes are checked in order of first
+    appearance, each against its first word's value and then its size.  A
+    class P does not fill is missing a word among its first len(words) + 1
+    members, so when it exceeds ``cap`` its members are walked lazily up to
+    there instead of listed."""
+    entries, alphabet, n = p.entries, p.alphabet, p.n
+    word_key = relation.word_key
+    groups: dict[tuple, list[Word]] = {}
+    for word in entries:
+        groups.setdefault(word_key(word, alphabet), []).append(word)
+    values: dict[TypeDescriptor, Fraction] = {}
+    for words in groups.values():
+        first = words[0]
+        descr = type_of(first, relation, alphabet)
+        value = entries[first]
         for w in words[1:]:
-            if p(w) != value:
+            if entries[w] != value:
                 raise NotExchangeable(
-                    f"P({words[0]}) = {value} but P({w}) = {p(w)} on the same class",
-                    witness=(words[0], w),
+                    f"P({first}) = {value} but P({w}) = {entries[w]} on the same class",
+                    witness=(first, w),
                 )
-        size = class_size(descr, p.n)
+        size = class_size(descr, n)
         if len(words) != size:
-            missing = next(w for w in class_members(descr, p.n, cap) if not p(w))
+            members = class_members(descr, n, cap) if size <= cap else descr.members(n)
+            missing = next(w for w in members if w not in entries)
             raise NotExchangeable(
-                f"P({words[0]}) = {value} but P({missing}) = 0 on the same class",
-                witness=(words[0], missing),
+                f"P({first}) = {value} but P({missing}) = 0 on the same class",
+                witness=(first, missing),
             )
-    return {descr: p(words[0]) for descr, words in groups.items()}
+        values[descr] = value
+    return values
 
 
 def decompose(

@@ -46,9 +46,13 @@ from .intervals import IntervalScalar
 class Relation:
     """An equivalence relation on V^n whose classes have type descriptors.
 
-    Subclasses provide ``type_of(word, alphabet)``, ``candidate_count`` and
-    ``candidates`` (or their own ``classes``), ``alpha_squared(n, alphabet,
-    bits)`` and ``to_json()``.
+    Subclasses provide ``type_of(word, alphabet)``, ``word_key(word,
+    alphabet)``, ``candidate_count`` and ``candidates`` (or their own
+    ``classes``), ``alpha_squared(n, alphabet, bits)`` and ``to_json()``.
+
+    ``word_key`` is a cheap hashable stand-in for ``type_of``: on words of
+    one length, equal keys mean equal descriptors and conversely, so words
+    can be grouped into classes before any descriptor is built.
     """
 
     def min_word_length(self) -> int:
@@ -76,6 +80,10 @@ class Exchangeable(Relation):
         for letter in word:
             counts[letter] += 1
         return ExchangeableType(tuple(counts))
+
+    def word_key(self, word: Word, alphabet: Alphabet) -> tuple:
+        """The sorted letters."""
+        return tuple(sorted(word))
 
     def candidate_count(self, alphabet: Alphabet, n: int) -> int:
         return math.comb(n + alphabet.size - 1, alphabet.size - 1)
@@ -123,6 +131,12 @@ class LMarkov(Relation):
             rows[g][z] += 1
             g = (g * d + z) % m
         return self.descriptor(word[:ell], tuple(tuple(r) for r in rows))
+
+    def word_key(self, word: Word, alphabet: Alphabet) -> tuple:
+        """The start gram and the sorted (l+1)-grams.  A word of length <= l
+        is all start gram, so no two such words share a key."""
+        ell = self.ell
+        return word[:ell], tuple(sorted(zip(*(word[i:] for i in range(ell + 1)))))
 
     def candidate_count(self, alphabet: Alphabet, n: int) -> int:
         """Start grams times count tensors, d^l C(n-l+d^(l+1)-1, d^(l+1)-1):
@@ -227,6 +241,14 @@ class ProductRelation(Relation):
             )
         )
 
+    def word_key(self, word: Word, alphabet: Alphabet) -> tuple:
+        """The parts' keys of the word's projections."""
+        factors = self.factor_alphabets(alphabet)
+        return tuple(
+            rel.word_key(project_word(alphabet, word, i), fa)
+            for i, (rel, fa) in enumerate(zip(self.parts, factors))
+        )
+
     def classes(self, alphabet: Alphabet, n: int, cap: int) -> Iterator[tuple["ProductType", int]]:
         factors = self.factor_alphabets(alphabet)
         sub = [enumerate_types(rel, fa, n, cap) for rel, fa in zip(self.parts, factors)]
@@ -269,7 +291,7 @@ class TypeDescriptor:
     equivalence.
 
     Subclasses provide ``relation()``, ``alphabet()``, ``sort_key()``,
-    ``class_size(n)``, ``members(n, cap)``, ``representative(n)``,
+    ``class_size(n)``, ``members(n)``, ``representative(n)``,
     ``pi_ratio(c)``, ``support_signature``, ``pi_summary(n)`` and
     ``to_json()``; exchangeable and l-Markov descriptors also provide
     ``pi_mass(letters)`` and ``cells``, the bit width of their signature
@@ -317,8 +339,9 @@ class ExchangeableType(TypeDescriptor):
             size //= math.factorial(c)
         return size
 
-    def members(self, n: int, cap: int) -> list[Word]:
-        return list(_multiset_words(self.counts))
+    def members(self, n: int) -> Iterator[Word]:
+        """The words of the class, lazily, in lexicographic order."""
+        return _multiset_words(self.counts)
 
     def representative(self, n: int) -> Word:
         return tuple(letter for letter, c in enumerate(self.counts) for _ in range(c))
@@ -444,10 +467,10 @@ class LMarkovType(TypeDescriptor):
         self.check_length(n)
         return self.size
 
-    def _trails(self) -> Iterator[Word]:
-        """The words of the class in lexicographic order: the walks from the
-        start gram that use up the count tensor, letter z taking gram g to
-        gram (g d + z) mod d^l."""
+    def members(self, n: int) -> Iterator[Word]:
+        """The words of the class, lazily, in lexicographic order: the walks
+        from the start gram that use up the count tensor, letter z taking
+        gram g to gram (g d + z) mod d^l."""
         d, m = self.d, len(self.trans)
         steps = sum(self.row_sums)
         if steps > 60:
@@ -470,13 +493,10 @@ class LMarkovType(TypeDescriptor):
 
         return walk(gram_rank(self.start, d), steps)
 
-    def members(self, n: int, cap: int) -> list[Word]:
-        return list(self._trails())
-
     def representative(self, n: int) -> Word:
         if not self.class_size(n):
             raise EmptyClass("empty class has no representative")
-        return next(self._trails())
+        return next(self.members(n))
 
     def pi_ratio(self, c: "LMarkovType") -> tuple[int, int]:
         """[start grams agree] * prod_{g,z} (t_{k,gz}/r_{k,g})^t_{c,gz} as an
@@ -600,13 +620,23 @@ class ProductType(TypeDescriptor):
     def class_size(self, n: int) -> int:
         return math.prod(p.class_size(n) for p in self.parts)
 
-    def members(self, n: int, cap: int) -> list[Word]:
+    def members(self, n: int) -> Iterator[Word]:
+        """The words of the class, lazily: every combination of the parts'
+        members, the last part varying fastest.  This is not lexicographic
+        order, and each part's members are walked afresh per combination of
+        the parts before it."""
         alphabet = self.alphabet()
-        member_lists = [class_members(p, n, cap) for p in self.parts]
-        return sorted(
-            tuple(alphabet.pack(parts) for parts in zip(*combo))
-            for combo in itertools.product(*member_lists)
-        )
+
+        def combos(i: int) -> Iterator[tuple[Word, ...]]:
+            if i == len(self.parts):
+                yield ()
+                return
+            for word in self.parts[i].members(n):
+                for rest in combos(i + 1):
+                    yield (word,) + rest
+
+        for combo in combos(0):
+            yield tuple(alphabet.pack(letters) for letters in zip(*combo))
 
     def representative(self, n: int) -> Word:
         alphabet = self.alphabet()
@@ -761,7 +791,7 @@ def class_members(
     size = class_size(descriptor, n)
     if size > cap:
         raise CapExceeded(f"class of size {size} exceeds cap {cap}")
-    return descriptor.members(n, cap) if size else []
+    return sorted(descriptor.members(n)) if size else []
 
 
 def representative(descriptor: TypeDescriptor, n: int) -> Word:

@@ -405,3 +405,16 @@ def test_usage_errors_exit_4_and_cap_still_exits_2(joint_file, capsys):
     assert exc.value.code == 0
     capsys.readouterr()
     assert main(["classes", "--relation", "markov", "--d", "5", "--n", "12", "--enum-cap", "10"]) == 2
+
+
+@pytest.mark.parametrize("cap", [[], ["--enum-cap", "5"]])
+def test_non_invariant_class_over_the_cap_exits_4(cap, capsys):
+    # Five of the six words of type (2, 2) at 1/5 each: the class's count
+    # proves P is not invariant, so a class larger than the cap still gets
+    # its witness.
+    path = Path(__file__).parent / "data" / "noninvariant_exchangeable_d2_n4.json"
+    code = main(["certify", str(path), "--relation", "exchangeable", *cap])
+    payload = json.loads(capsys.readouterr().err)
+    assert code == 4
+    assert payload["error"] == "NotExchangeable"
+    assert payload["witness"] == [[0, 0, 1, 1], [1, 1, 0, 0]]

@@ -72,6 +72,17 @@ def test_mixed_sign_multiplication_and_powers():
     assert y.lo == -6 and y.hi == 10
 
 
+def test_multiplying_by_a_nonnegative_rational_matches_the_four_products():
+    rng = random.Random(11)
+    for _ in range(200):
+        lo = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+        x = IntervalScalar(lo, lo + Fraction(rng.randint(0, 50), rng.randint(1, 9)), rng.choice((64, 128)))
+        for r in (0, rng.randint(1, 9), Fraction(rng.randint(0, 50), rng.randint(1, 9))):
+            # The interval operand takes the general path: four products.
+            general = x * IntervalScalar.exact(r, x.bits)
+            assert x * r == r * x == general
+
+
 def test_division_by_interval_containing_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         IntervalScalar.exact(1) / IntervalScalar(Fraction(-1), Fraction(1))

@@ -8,7 +8,7 @@ import pytest
 import exkit.reduction as reduction
 from exkit import serialize
 from exkit.core import Alphabet, dirac, make_distribution, tensor_power, uniform
-from exkit.errors import BadParams, EmptyClass, NotExchangeable
+from exkit.errors import BadParams, EmptyClass, NotExchangeable, WordTooShort
 from exkit.intervals import IntervalScalar
 from exkit.reduction import (
     Combination,
@@ -437,3 +437,85 @@ def test_pi_table_calls_pi_ratio_on_the_nonzero_cells_only(monkeypatch):
     rows = Decomposition(index, tuple(Fraction(1, index.N) for _ in index.items)).pi_rows
     assert len(calls) == sum(map(len, rows)) == 5055
     assert all(num for row in rows for _, num, _ in row)
+
+
+# check_exchangeable groups supp P by word_key and types each class once.
+
+
+def _word(digits: str):
+    return tuple(int(c) for c in digits)
+
+
+@pytest.mark.parametrize("relation, alphabet, n", [
+    (EXCHANGEABLE, Alphabet(4, (2, 2)), 5),
+    (MARKOV, A3, 5),
+    (LMarkov(2), A2, 7),
+    (ProductRelation((EXCHANGEABLE, MARKOV)), Alphabet(4, (2, 2)), 4),
+])
+def test_check_exchangeable_types_each_supported_class_once(relation, alphabet, n, monkeypatch):
+    calls = []
+    typed = reduction.type_of
+
+    def counted(word, relation, alphabet):
+        calls.append(word)
+        return typed(word, relation, alphabet)
+
+    monkeypatch.setattr(reduction, "type_of", counted)
+    p = random_invariant(alphabet, n, relation, random.Random(5))
+    values = reduction.check_exchangeable(p, relation)
+    assert len(calls) == len(values) < len(p.entries)
+    assert [p(w) for w in calls] == list(values.values())
+
+
+# Expected witnesses generated by the word-by-word check this one replaced.
+@pytest.mark.parametrize("relation, n, entries, witness", [
+    # Both classes of length 3 hold two values; the second class's
+    # mismatch (101) comes first in supp P, the first class's (010) wins.
+    (EXCHANGEABLE, 3,
+     {"001": (1, 4), "011": (1, 8), "101": (1, 4), "010": (1, 8), "100": (1, 8), "110": (1, 8)},
+     ("001", "010")),
+    (MARKOV, 4,
+     {"0010": (1, 4), "1011": (1, 8), "1101": (1, 4), "0100": (1, 8), "0000": (1, 4)},
+     ("0010", "0100")),
+    # The first class misses 010 and is reported before the second class's
+    # value mismatch.
+    (EXCHANGEABLE, 3, {"001": (1, 4), "011": (1, 8), "101": (3, 8), "100": (1, 4)}, ("001", "010")),
+])
+def test_not_exchangeable_witness_is_pinned(relation, n, entries, witness):
+    p = make_distribution(A2, n, {_word(w): Fraction(*v) for w, v in entries.items()})
+    with pytest.raises(NotExchangeable) as err:
+        reduction.check_exchangeable(p, relation)
+    assert err.value.witness == tuple(map(_word, witness))
+
+
+@pytest.mark.parametrize("relation, alphabet", [
+    (LMarkov(2), A2),
+    (ProductRelation((EXCHANGEABLE, LMarkov(2))), Alphabet(4, (2, 2))),
+])
+def test_check_exchangeable_word_too_short_still_wins(relation, alphabet):
+    # At n = 2 every word is its own start gram, so every key differs.
+    p = make_distribution(alphabet, 2, {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)})
+    with pytest.raises(WordTooShort):
+        reduction.check_exchangeable(p, relation)
+
+
+@pytest.mark.parametrize("relation, alphabet, n", [
+    (EXCHANGEABLE, A3, 4),
+    (MARKOV, A2, 6),
+    (ProductRelation((EXCHANGEABLE, MARKOV)), Alphabet(4, (2, 2)), 3),
+])
+def test_a_class_over_the_cap_still_gets_its_missing_word(relation, alphabet, n):
+    # Drop the last word of the largest class: the size check fails, and the
+    # witness is found by walking that class's members, never by listing it.
+    index = enumerate_types(relation, alphabet, n)
+    descr, size = max(index.items, key=lambda item: item[1])
+    kept = class_members(descr, n)[:-1]
+    p = make_distribution(alphabet, n, {w: Fraction(1, len(kept)) for w in kept})
+    with pytest.raises(NotExchangeable) as listed:
+        reduction.check_exchangeable(p, relation)
+    with pytest.raises(NotExchangeable) as walked:
+        reduction.check_exchangeable(p, relation, cap=size - 1)
+    for err in (listed, walked):
+        first, missing = err.value.witness
+        assert first == kept[0] and missing not in p.entries
+        assert type_of(missing, relation, alphabet) == descr

@@ -298,3 +298,20 @@ def test_pi_mass_is_the_sum_over_the_letter_power(relation, d, n):
                 # On the full alphabet the uniform rows of unvisited grams
                 # carry the walks that leave the visited ones.
                 assert size < d or mass == 1
+
+
+@pytest.mark.parametrize("relation, alphabet, n", [
+    (EXCHANGEABLE, A3, 4),
+    (MARKOV, A3, 4),
+    (LMarkov(2), A2, 6),
+    (ProductRelation((EXCHANGEABLE, MARKOV)), A22, 3),
+])
+def test_word_key_is_equal_exactly_when_the_types_are(relation, alphabet, n):
+    words = list(itertools.product(range(alphabet.size), repeat=n))
+    keys = {w: relation.word_key(w, alphabet) for w in words}
+    types = {w: type_of(w, relation, alphabet) for w in words}
+    assert len(set(keys.values())) == len(set(types.values())) > 1
+    for w1 in words:
+        for w2 in words:
+            assert (keys[w1] == keys[w2]) == (types[w1] == types[w2]), (w1, w2)
+
