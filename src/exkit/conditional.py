@@ -20,6 +20,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .core import (
@@ -144,11 +145,13 @@ def class_marginal(decomp: Decomposition) -> dict[ExchangeableType, Fraction]:
     """P_X on each X-class sigma, from an exchangeable joint's class table: the
     X-marginal of Q_c is uniform on sigma_c = ``marginal_type`` of c (the
     marginal lemma), so P_X = M_sigma / |sigma| on sigma, with M_sigma the
-    sum of mu_c over the c with sigma_c = sigma."""
+    sum of mu_c over the c with sigma_c = sigma.  The sigma_c are read from
+    the shape's ``universal_rhs``."""
+    index = decomp.index
     mass: Counter[ExchangeableType] = Counter()
-    for descr, mu in zip(decomp.index.descriptors(), decomp.weights):
-        mass[marginal_type(descr, decomp.index.alphabet)] += mu
-    return {sigma: m / class_size(sigma, decomp.index.n) for sigma, m in mass.items()}
+    for s, mu in zip(universal_rhs(index.alphabet, index.n).sigma, decomp.weights):
+        mass[s] += mu
+    return {s: m / class_size(s, index.n) for s, m in mass.items()}
 
 
 @dataclass(frozen=True)
@@ -253,32 +256,35 @@ class ConditionalCertificate:
         )
 
 
-def verify_conditional_reduction(
-    p: Union[FiniteDistribution, ConditionalDistribution],
-    bits: int = DEFAULT_BITS,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> ConditionalCertificate:
-    """Certify P(a|x) <= N alpha(n) alpha'(n) sum_k (1/N) pi_k(a|x) per class.
+# Shapes (A, X, n) whose universal right-hand side is kept, least recently
+# used dropped first.
+UNIVERSAL_RHS_SHAPES = 8
 
-    Exchangeable relation only.  Both sides are constant on joint classes, so
-    each class is checked once, from P's class table; classes whose inputs x
-    lie outside the support of P_X are marked unsupported (the inequality is
-    vacuous there).  The right-hand side never depends on P.  A conditional
-    input is lifted as by ``lift_conditional`` and checked once, by
-    ``decompose``.
-    """
-    if isinstance(p, ConditionalDistribution):
-        p = _lifted_joint(p)
-        with _conditional_witness():
-            decomp = decompose(p, EXCHANGEABLE, cap)
-    else:
-        decomp = decompose(p, EXCHANGEABLE, cap)
-    a_alpha, x_alpha = _split_alphabet(p.alphabet)
-    n = p.n
-    descriptors = decomp.index.descriptors()
+
+@dataclass(frozen=True)
+class UniversalRHS:
+    """The P-independent side of the conditional reduction on one (A, X, n),
+    in class order: the class descriptors, sigma_k, the exact sums
+    sum_k pi_k(a|x) and alpha'_tight per class."""
+
+    descriptors: tuple[ExchangeableType, ...]
+    sigma: tuple[ExchangeableType, ...]
+    rhs_sums: tuple[Fraction, ...]
+    alpha_prime_tight: tuple[Fraction, ...]
+
+
+@lru_cache(maxsize=UNIVERSAL_RHS_SHAPES)
+def universal_rhs(alphabet: Alphabet, n: int) -> UniversalRHS:
+    """The universal right-hand side on the exchangeable classes of
+    (alphabet)^n, built from the class index alone and kept for the last
+    ``UNIVERSAL_RHS_SHAPES`` shapes.  Callers have already enumerated these
+    classes within their cap (``decompose``), so the cap here is the exact
+    number of candidate types."""
+    index = enumerate_types(EXCHANGEABLE, alphabet, n, EXCHANGEABLE.candidate_count(alphabet, n))
+    descriptors = tuple(index.descriptors())
 
     # X-marginal empirical types sigma_k of each pi_k (exact rationals).
-    sigma = [marginal_type(d, p.alphabet) for d in descriptors]
+    sigma = tuple(marginal_type(d, alphabet) for d in descriptors)
 
     # pi_k(a|x) = pi_k(c) / sigma_k(x_c).  Both are integer products over
     # n^n, so each term is prod_z t_{k,z}^t_{c,z} / prod_x s_{k,x}^s_{c,x};
@@ -297,29 +303,76 @@ def verify_conditional_reduction(
 
     # alpha'_k: tight ratio pi_{k,X^n}/Q_{k,X^n} on the support, always <= 1
     # for exchangeability; the certificate uses the valid constant 1.
-    alpha_prime_tight = [class_size(x_type, n) * x_type.pi_at(x_type) for x_type in sigma]
+    alpha_prime_tight = tuple(class_size(x_type, n) * x_type.pi_at(x_type) for x_type in sigma)
+    return UniversalRHS(descriptors, sigma, tuple(rhs_sums), alpha_prime_tight)
 
+
+@lru_cache(maxsize=2 * UNIVERSAL_RHS_SHAPES)
+def _scaled_rhs(
+    alphabet: Alphabet, n: int, bits: int
+) -> tuple[AlphaBound, IntervalScalar, tuple[IntervalScalar, ...]]:
+    """alpha(n), the prefactor N alpha(n) and alpha(n) * rhs_sum per class
+    on one (A, X, n) at ``bits``; two precisions per kept shape, the
+    starting one and one escalation."""
+    rhs = universal_rhs(alphabet, n)
+    analytic = alpha_analytic(EXCHANGEABLE, n, alphabet, bits)
+    return (
+        analytic,
+        analytic.value * len(rhs.descriptors),
+        tuple(analytic.value * total for total in rhs.rhs_sums),
+    )
+
+
+def verify_conditional_reduction(
+    p: Union[FiniteDistribution, ConditionalDistribution],
+    bits: int = DEFAULT_BITS,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> ConditionalCertificate:
+    """Certify P(a|x) <= N alpha(n) alpha'(n) sum_k (1/N) pi_k(a|x) per class.
+
+    Exchangeable relation only.  Both sides are constant on joint classes, so
+    each class is checked once, from P's class table; classes whose inputs x
+    lie outside the support of P_X are marked unsupported (the inequality is
+    vacuous there).  A conditional input is lifted as by ``lift_conditional``
+    and checked once, by ``decompose``.
+
+    The right-hand side never depends on P: the class order, sigma_k, the
+    exact RHS sums and alpha'_tight (``universal_rhs``) and, per precision,
+    alpha(n), the prefactor and alpha(n) * rhs_sum are built from the
+    alphabet and n alone, once per (A, X, n), and reused for every later
+    joint of that shape; the last ``UNIVERSAL_RHS_SHAPES`` shapes are kept.
+    P never enters those values, so a joint costs its ``decompose``, its
+    class marginal and one comparison per class.
+    """
+    if isinstance(p, ConditionalDistribution):
+        p = _lifted_joint(p)
+        with _conditional_witness():
+            decomp = decompose(p, EXCHANGEABLE, cap)
+    else:
+        decomp = decompose(p, EXCHANGEABLE, cap)
+    a_alpha, x_alpha = _split_alphabet(p.alphabet)
+    rhs = universal_rhs(p.alphabet, p.n)
     p_x = class_marginal(decomp)
 
     def attempt(bits: int) -> ConditionalCertificate:
-        analytic = alpha_analytic(EXCHANGEABLE, n, p.alphabet, bits)
+        analytic, prefactor, scaled = _scaled_rhs(p.alphabet, p.n, bits)
         # LHS of class c: P(a|x) = (mu_c/|c|) / P_X(x_c); none where P_X(x_c) = 0.
         checks = [
-            (analytic.value * rhs).certainly_ge(value / p_x[s]) if p_x[s] else "unsupported"
-            for value, s, rhs in zip(decomp.values, sigma, rhs_sums)
+            bound.certainly_ge(value / p_x[s]) if p_x[s] else "unsupported"
+            for value, s, bound in zip(decomp.values, rhs.sigma, scaled)
         ]
         verdicts, overall = triage(checks)
         return ConditionalCertificate(
             a_size=a_alpha.size,
             x_size=x_alpha.size,
-            n=n,
+            n=p.n,
             verdict=overall,
             alpha=analytic,
-            prefactor=analytic.value * decomp.index.N,
+            prefactor=prefactor,
             records=tuple(
                 ConditionalClassRecord(descr, verdict, rhs_sum, ONE, tight)
                 for descr, verdict, rhs_sum, tight in zip(
-                    descriptors, verdicts, rhs_sums, alpha_prime_tight
+                    rhs.descriptors, verdicts, rhs.rhs_sums, rhs.alpha_prime_tight
                 )
             ),
             bits=bits,

@@ -465,7 +465,9 @@ def check_exchangeable(
 
     supp P is grouped by ``relation.word_key``, so each class is typed once,
     from its first word; the classes are checked in order of first
-    appearance, each against its first word's value and then its size.  A
+    appearance, each against its first word's value and then its size.
+    Entries are normalized ``Fraction``s, so two are equal exactly when
+    their numerators and denominators are, which is compared directly.  A
     class P does not fill is missing a word among its first len(words) + 1
     members, so when it exceeds ``cap`` its members are walked lazily up to
     there instead of listed."""
@@ -479,10 +481,12 @@ def check_exchangeable(
         first = words[0]
         descr = type_of(first, relation, alphabet)
         value = entries[first]
+        num, den = value.numerator, value.denominator
         for w in words[1:]:
-            if entries[w] != value:
+            other = entries[w]
+            if other.numerator != num or other.denominator != den:
                 raise NotExchangeable(
-                    f"P({first}) = {value} but P({w}) = {entries[w]} on the same class",
+                    f"P({first}) = {value} but P({w}) = {other} on the same class",
                     witness=(first, w),
                 )
         size = class_size(descr, n)

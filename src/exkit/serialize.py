@@ -286,17 +286,6 @@ def kernel_from_json(obj: dict) -> SequentialKernel:
     return SequentialKernel(rows)
 
 
-def strategy_to_json(strategy: Strategy) -> dict:
-    return {
-        "slices": {
-            f"{xy[0] + 1},{xy[1] + 1}": {
-                f"{ab[0] + 1},{ab[1] + 1}": rational_str(v) for ab, v in sorted(row.items())
-            }
-            for xy, row in sorted(strategy.table.items())
-        }
-    }
-
-
 def strategy_from_json(obj: dict) -> Strategy:
     table = {}
     for xy_key, row in _object(_object(obj, "a strategy")["slices"], "slices").items():

@@ -1,9 +1,12 @@
+import dataclasses
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from exkit import conditional, reduction
+from exkit import conditional, reduction, serialize
+from exkit.cli import main
 from exkit.conditional import (
     condition,
     empirical_alpha_prime,
@@ -21,7 +24,8 @@ from exkit.core import (
     tensor_power,
     uniform,
 )
-from exkit.errors import NotConditionallyExchangeable, NotExchangeable, NotFactored
+from exkit.errors import CapExceeded, NotConditionallyExchangeable, NotExchangeable, NotFactored
+from exkit.intervals import IntervalScalar
 from exkit.reduction import uniform_class_dist
 from exkit.relations import (
     EXCHANGEABLE,
@@ -275,3 +279,159 @@ def test_conditional_rhs_skips_pairs_where_pi_is_zero(monkeypatch):
     ]
     assert outside == []
     assert len(calls) < cert.N**2
+
+
+# -- the universal right-hand side, kept once per (A, X, n) ----------------------
+
+JOINT_3X2 = Alphabet(6, (3, 2))
+
+
+def cold(p, **kwargs):
+    conditional.universal_rhs.cache_clear()
+    conditional._scaled_rhs.cache_clear()
+    return verify_conditional_reduction(p, **kwargs)
+
+
+def kept_shapes():
+    return conditional.universal_rhs.cache_info().currsize
+
+
+def assert_same_certificate(warm, fresh):
+    for name in ("records", "prefactor", "alpha", "bits", "verdict"):
+        assert getattr(warm, name) == getattr(fresh, name), name
+    assert warm == fresh
+
+
+def interleaved_joints(seed):
+    rng = random.Random(seed)
+    shapes = [(JOINT, 3), (JOINT_3X2, 2), (JOINT, 4), (JOINT_3X2, 3)]
+    return [random_exchangeable(joint, n, rng) for _ in range(3) for joint, n in shapes]
+
+
+def test_warm_certificates_equal_cold_ones():
+    joints = interleaved_joints(43)
+    warm = [verify_conditional_reduction(p) for p in joints]
+    assert kept_shapes() == 4
+    for p, cert in zip(joints, warm):
+        assert_same_certificate(cert, cold(p))
+
+
+def test_warm_certificates_equal_cold_ones_after_escalation(monkeypatch):
+    # Below 256 bits alpha(n) is widened to [0, hi], so no supported class is
+    # decided there and every certificate escalates once.
+    exact_alpha = conditional.alpha_analytic
+
+    def loose_below_256(relation, n, alphabet, bits):
+        bound = exact_alpha(relation, n, alphabet, bits)
+        if bits >= 256:
+            return bound
+        return dataclasses.replace(bound, value=IntervalScalar(Fraction(0), bound.value.hi, bits))
+
+    monkeypatch.setattr(conditional, "alpha_analytic", loose_below_256)
+    joints = interleaved_joints(47)
+    warm = [verify_conditional_reduction(p) for p in joints]
+    assert all(cert.bits == 256 and cert.verdict == "holds" for cert in warm)
+    for p, cert in zip(joints, warm):
+        assert_same_certificate(cert, cold(p))
+
+
+def test_lower_cap_on_a_warm_shape_still_stops(tmp_path, capsys):
+    p = random_exchangeable(JOINT, 3, random.Random(53))
+    verify_conditional_reduction(p)
+    with pytest.raises(CapExceeded):
+        verify_conditional_reduction(p, cap=5)
+    path = tmp_path / "joint.json"
+    path.write_text(serialize.dumps(serialize.distribution_to_json(p)))
+    assert main(["conditional", str(path)]) == 0
+    assert main(["conditional", str(path), "--enum-cap", "5"]) == 2
+    capsys.readouterr()
+
+
+def test_non_invariant_joint_on_a_warm_shape_keeps_its_witness():
+    p = random_exchangeable(JOINT, 3, random.Random(41))
+    verify_conditional_reduction(p)
+    entries = dict(p.entries)
+    # Move mass between two words of the class of type (1, 1, 1, 0).
+    shift = entries[(0, 1, 2)] / 2
+    entries[(0, 1, 2)] -= shift
+    entries[(2, 1, 0)] += shift
+    bad = make_distribution(JOINT, 3, entries)
+    with pytest.raises(NotExchangeable) as err:
+        verify_conditional_reduction(bad)
+    assert err.value.witness == ((0, 1, 2), (0, 2, 1))
+    assert str(err.value) == "P((0, 1, 2)) = 7/1080 but P((0, 2, 1)) = 7/540 on the same class"
+
+
+def count_pi_tables(monkeypatch):
+    calls = []
+    original = conditional.pi_table
+
+    def counted(rows, columns):
+        calls.append(len(rows))
+        return original(rows, columns)
+
+    monkeypatch.setattr(conditional, "pi_table", counted)
+    return calls
+
+
+def test_conditional_input_hits_the_joint_memo(monkeypatch):
+    calls = count_pi_tables(monkeypatch)
+    rng = random.Random(59)
+    p = random_exchangeable(JOINT, 3, rng)
+    via_joint = verify_conditional_reduction(p)
+    via_conditional = verify_conditional_reduction(condition(random_exchangeable(JOINT, 3, rng)))
+    assert calls == [20] and kept_shapes() == 1
+    assert via_conditional.universal_rhs_table() == via_joint.universal_rhs_table()
+    assert_same_certificate(verify_conditional_reduction(condition(p)), cold(condition(p)))
+
+
+def test_pi_table_is_built_once_per_shape(monkeypatch):
+    calls = count_pi_tables(monkeypatch)
+    for p in interleaved_joints(61):
+        verify_conditional_reduction(p)
+    # One table per shape: 20, 21, 35 and 56 classes.
+    assert sorted(calls) == [20, 21, 35, 56]
+
+
+def test_memo_keeps_a_fixed_number_of_shapes(monkeypatch):
+    calls = count_pi_tables(monkeypatch)
+    kept = conditional.UNIVERSAL_RHS_SHAPES
+    joint = Alphabet(2, (1, 2))
+
+    def certify(n):
+        verify_conditional_reduction(uniform(joint, n))
+        assert kept_shapes() <= kept
+        return len(calls)
+
+    for n in range(1, kept + 1):
+        assert certify(n) == n
+    # n = 1 was used last, so the next new shape drops n = 2, the least
+    # recently used one.
+    assert certify(1) == kept
+    assert certify(kept + 1) == kept + 1
+    assert certify(1) == kept + 1
+    assert certify(2) == kept + 2
+    assert kept_shapes() == kept
+
+
+def test_conditional_goldens_match_back_to_back(tmp_path, capsys):
+    golden = Path(__file__).parent / "data" / "golden"
+    for name, joint in [
+        ("conditional_2x2_n3.json", "joint_2x2_n3.json"),
+        ("conditional_2x2_n3_unsupported.json", "joint_2x2_n3_unsupported.json"),
+        ("conditional_2x2_n3.json", "joint_2x2_n3.json"),
+    ]:
+        out = tmp_path / name
+        assert main(["conditional", str(golden / joint), "--output", str(out)]) == 0
+        assert out.read_bytes() == (golden / name).read_bytes(), name
+        assert kept_shapes() == 1
+    capsys.readouterr()
+
+
+def test_cold_right_hand_sides_agree_across_joints():
+    # Each joint rebuilds the right-hand side from a cleared memo, so equal
+    # tables show that P never enters it.
+    rng = random.Random(67)
+    for joint, n in [(JOINT, 4), (JOINT_3X2, 3)]:
+        tables = {cold(random_exchangeable(joint, n, rng)).universal_rhs_table() for _ in range(3)}
+        assert len(tables) == 1
