@@ -21,11 +21,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import serialize
 from .conditional import markov_marginal_counterexample, verify_conditional_reduction
-from .core import Alphabet
+from .core import DEFAULT_ENUM_CAP, Alphabet
 from .errors import CapExceeded, ExkitError
 from .games import (
     classical_value,
@@ -41,10 +42,7 @@ from .reduction import (
     verify_flexible_reduction,
 )
 from .relations import (
-    Exchangeable,
-    LMarkov,
-    Markov,
-    ProductRelation,
+    Relation,
     class_size,
     enumerate_types,
     type_of,
@@ -59,61 +57,58 @@ EXIT_ERROR = 4
 _VERDICT_EXIT = {"holds": EXIT_OK, "fails": EXIT_FAILS, "inconclusive": EXIT_INCONCLUSIVE}
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, bits: bool, cap: bool) -> None:
+    """--format, --output, and --precision-bits and --enum-cap where read."""
     parser.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    parser.add_argument("--precision-bits", type=int, default=None)
-    parser.add_argument("--enum-cap", type=int, default=10**8)
+    if bits:
+        parser.add_argument("--precision-bits", type=int, default=None)
+    if cap:
+        parser.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     parser.add_argument("--output", default=None, help="write to a file instead of stdout")
 
 
-def _add_relation_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--relation",
-        choices=("exchangeable", "markov", "lmarkov", "product"),
-        default=None,
-        help="default: exchangeable",
-    )
-    parser.add_argument("--ell", type=int, default=None, help="order for lmarkov (default: 2)")
-    parser.add_argument(
-        "--product",
-        default=None,
-        help="comma list of factor relations, e.g. 'exchangeable,markov' or 'lmarkov:2,exchangeable'",
-    )
-    parser.add_argument("--d", type=int, default=None, help="alphabet size")
-    parser.add_argument(
-        "--factors", default=None, help="comma list of factor sizes for product alphabets"
-    )
+def _add_relation_flags(parser: argparse.ArgumentParser, *, alphabet: bool) -> None:
+    """--relation, --ell, --product, and --d and --factors where no file has the alphabet."""
+    kinds = ("exchangeable", "markov", "lmarkov", "product")
+    parser.add_argument("--relation", choices=kinds, default=None, help="default: exchangeable")
+    parser.add_argument("--ell", type=int, default=None, help="lmarkov's order (default: 2)")
+    parser.add_argument("--product", default=None, help="product's parts, e.g. markov,lmarkov:3")
+    if alphabet:
+        parser.add_argument("--d", type=int, default=None, help="alphabet size")
+        parser.add_argument("--factors", default=None, help="comma list of factor sizes")
 
 
-def _parse_part(token: str):
-    token = token.strip()
-    if token == "exchangeable":
-        return Exchangeable()
-    if token == "markov":
-        return Markov()
-    if token.startswith("lmarkov"):
-        _, _, ell = token.partition(":")
-        return LMarkov(int(ell) if ell else 2)
-    raise ExkitError(f"unknown relation part {token!r}")
+def _part_json(token: str) -> dict:
+    """A relation part's JSON: a kind, or ``lmarkov:k`` for order k (default 2)."""
+    kind, colon, ell = token.strip().partition(":")
+    if kind == "lmarkov":
+        return {"kind": kind, "ell": ell or 2}
+    if colon:
+        raise ExkitError(f"relation part {token!r}: only lmarkov takes an order")
+    return {"kind": kind}
 
 
-def _relation_from_args(args):
-    if args.relation in (None, "exchangeable"):
-        return Exchangeable()
-    if args.relation == "markov":
-        return Markov()
-    if args.relation == "lmarkov":
-        return LMarkov(2 if args.ell is None else args.ell)
-    parts = args.product or "exchangeable,exchangeable"
-    return ProductRelation(tuple(_parse_part(p) for p in parts.split(",")))
+def _relation_from_args(args) -> Relation:
+    """The relation the flags name, read by ``serialize.relation_from_json``.
+    --ell belongs to --relation lmarkov and --product to --relation product;
+    given with any other relation they are errors, never ignored."""
+    kind = args.relation or "exchangeable"
+    if args.ell is not None and kind != "lmarkov":
+        raise ExkitError(f"--ell {args.ell} needs --relation lmarkov, not {kind}")
+    if args.product is not None and kind != "product":
+        raise ExkitError(f"--product needs --relation product, not {kind}")
+    if kind == "product":
+        parts = (args.product or "exchangeable,exchangeable").split(",")
+        obj = {"kind": kind, "parts": [_part_json(p) for p in parts]}
+    else:  # --relation lmarkov --ell k is the part lmarkov:k
+        obj = _part_json(kind if args.ell is None else f"{kind}:{args.ell}")
+    return serialize.relation_from_json(obj)
 
 
 def _alphabet_from_args(args) -> Alphabet:
     if args.factors:
         factors = tuple(int(f) for f in args.factors.split(","))
-        size = 1
-        for f in factors:
-            size *= f
+        size = math.prod(factors)
         if args.d is not None and args.d != size:
             raise ExkitError("--d disagrees with the product of --factors")
         return Alphabet(size, factors)
@@ -203,7 +198,7 @@ def cmd_classes(args) -> int:
             "type": serialize.descriptor_to_json(descr),
             "size": size,
             "alpha_tight": serialize.rational_str(alpha_tight(descr, args.n)),
-            "pi": descr.pi_summary(args.n),
+            "pi": descr.pi_summary(),
         }
         for descr, size in items
     ]
@@ -234,7 +229,7 @@ def cmd_size(args) -> int:
         "type": serialize.descriptor_to_json(descr),
         "size": class_size(descr, len(word)),
     }
-    best_formula = descr.best_formula_json(len(word))
+    best_formula = descr.best_formula_json()
     if best_formula is not None:
         payload["best_formula"] = best_formula
     _emit(args, payload)
@@ -360,7 +355,7 @@ def cmd_mp(args) -> int:
     }
     if args.type:
         t = tuple(int(x) for x in args.type.split(","))
-        col = lam.types.index(t)
+        col = lam.index(t)
         mp = mp_of_extreme(t, args.n, args.enum_cap)
         payload["type"] = list(t)
         payload["lambda_row"] = [serialize.rational_str(lam.entries[i][col]) for i in range(len(lam.types))]
@@ -475,21 +470,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classes", help="enumerate nonempty classes with sizes")
-    _add_relation_flags(p)
-    _add_common(p)
+    _add_relation_flags(p, alphabet=True)
+    _add_common(p, bits=False, cap=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--filter-word", default=None)
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("size", help="class size of one word, with BEST terms")
-    _add_relation_flags(p)
-    _add_common(p)
+    _add_relation_flags(p, alphabet=True)
+    _add_common(p, bits=False, cap=False)
     p.add_argument("--word", required=True)
     p.set_defaults(func=cmd_size)
 
     p = sub.add_parser("certify", help="flexible reduction certificate for a distribution file")
-    _add_relation_flags(p)
-    _add_common(p)
+    _add_relation_flags(p, alphabet=False)
+    _add_common(p, bits=True, cap=True)
     p.add_argument("file")
     p.add_argument("--conditional", action="store_true")
     p.add_argument(
@@ -499,37 +494,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("alpha", help="analytic pre-factor enclosure")
-    _add_relation_flags(p)
-    _add_common(p)
+    _add_relation_flags(p, alphabet=True)
+    _add_common(p, bits=True, cap=False)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("mp", help="measure-and-prepare lambda matrix / decomposition")
-    _add_common(p)
+    _add_common(p, bits=False, cap=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--type", default=None, help="comma list of letter counts")
     p.set_defaults(func=cmd_mp)
 
     p = sub.add_parser("beta", help="measure-and-prepare pre-factor beta(n)")
-    _add_common(p)
+    _add_common(p, bits=True, cap=False)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_beta)
 
+    # The relation is fixed; its flags are taken only to be rejected by name.
     p = sub.add_parser("conditional", help="universal conditional reduction certificate")
-    _add_relation_flags(p)
-    _add_common(p)
+    _add_relation_flags(p, alphabet=False)
+    _add_common(p, bits=True, cap=True)
     p.add_argument("file")
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_certify, conditional=True, alpha_mode=None)
 
     p = sub.add_parser("counterexample", help="Markov marginal counterexample report")
-    _add_common(p)
+    _add_common(p, bits=False, cap=False)
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("game", help="values and reduction bound for a repeated game")
-    _add_common(p)
+    _add_common(p, bits=True, cap=True)
     p.add_argument("file")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--mode", choices=("parallel", "sequential"), default="parallel")

@@ -300,7 +300,8 @@ def symmetrize_strategy(
     where Markov classes are singletons); definetti_upper_bound re-checks the
     property and raises NotExchangeable rather than proceeding silently.
     """
-    n = len(repeated.inputs_x[0]) if isinstance(repeated.inputs_x[0], tuple) else 1
+    # parallel_game and sequential_game return the base game itself at n = 1.
+    n = 1 if repeated is game else len(repeated.inputs_x[0])
     alphabet = _round_alphabet(game)
     w = joint_weight(game, repeated, strategy, n)
     groups: dict = {}

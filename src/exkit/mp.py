@@ -53,8 +53,18 @@ class LambdaMatrix:
     types: tuple[tuple[int, ...], ...]
     entries: tuple[tuple[Fraction, ...], ...]
 
+    def index(self, t: tuple[int, ...]) -> int:
+        """The position of type t; BadParams unless t is d nonnegative counts
+        summing to n."""
+        t = tuple(t)
+        if len(t) != self.d or any(x < 0 for x in t) or sum(t) != self.n:
+            raise BadParams(
+                f"type {list(t)} is not d = {self.d} nonnegative counts summing to n = {self.n}"
+            )
+        return self.types.index(t)
+
     def value(self, s: tuple[int, ...], t: tuple[int, ...]) -> Fraction:
-        return self.entries[self.types.index(s)][self.types.index(t)]
+        return self.entries[self.index(s)][self.index(t)]
 
 
 def lambda_matrix(n: int, d: int) -> LambdaMatrix:
@@ -77,19 +87,16 @@ def mp_of_extreme(
     t: tuple[int, ...], n: int, cap: int = DEFAULT_ENUM_CAP
 ) -> FiniteDistribution:
     """MP(Q_t) = sum_s lambda_st Q_s, materialized exactly over V^n."""
-    d = len(t)
-    if sum(t) != n:
-        raise BadParams("type must sum to n")
-    lam = lambda_matrix(n, d)
+    lam = lambda_matrix(n, len(t))
     entries: dict[Word, Fraction] = {}
-    col = lam.types.index(tuple(t))
+    col = lam.index(t)
     for row_idx, s in enumerate(lam.types):
         weight = lam.entries[row_idx][col]
         size = class_size(ExchangeableType(s), n)
         share = weight / size
         for w in class_members(ExchangeableType(s), n, cap):
             entries[w] = entries.get(w, ZERO) + share
-    return FiniteDistribution(Alphabet(d), n, entries)
+    return FiniteDistribution(Alphabet(lam.d), n, entries)
 
 
 @dataclass(frozen=True)
@@ -119,14 +126,14 @@ def beta_bound(n: int, d: int, bits: int = DEFAULT_BITS) -> BetaBound:
     return BetaBound(n, d, best[0], best[1], analytic)
 
 
-def cone_constants(t: tuple[int, ...], n: int, bits: int = DEFAULT_BITS) -> dict:
+def cone_constants(t: tuple[int, ...], n: int) -> dict:
     """Both certified routes placing Q_t in the cone of i.i.d. mixtures:
     the alpha route (Q_t <= alpha * pi_t^(x)n) and the beta route
     (Q_t <= lambda_tt^-1 MP(Q_t)); reports which constant is smaller."""
     descr = ExchangeableType(tuple(t))
     alpha = alpha_tight(descr, n)
     lam = lambda_matrix(n, len(t))
-    idx = lam.types.index(tuple(t))
+    idx = lam.index(t)
     beta = 1 / lam.entries[idx][idx]
     return {
         "type": tuple(t),

@@ -491,7 +491,7 @@ def check_exchangeable(
                 )
         size = class_size(descr, n)
         if len(words) != size:
-            members = class_members(descr, n, cap) if size <= cap else descr.members(n)
+            members = class_members(descr, n, cap) if size <= cap else descr.members()
             missing = next(w for w in members if w not in entries)
             raise NotExchangeable(
                 f"P({first}) = {value} but P({missing}) = 0 on the same class",

@@ -291,11 +291,11 @@ class TypeDescriptor:
     equivalence.
 
     Subclasses provide ``relation()``, ``alphabet()``, ``sort_key()``,
-    ``class_size(n)``, ``members(n)``, ``representative(n)``,
-    ``pi_ratio(c)``, ``support_signature``, ``pi_summary(n)`` and
-    ``to_json()``; exchangeable and l-Markov descriptors also provide
-    ``pi_mass(letters)`` and ``cells``, the bit width of their signature
-    masks.
+    ``class_size(n)``, ``members()``, ``pi_ratio(c)``, ``support_signature``,
+    ``pi_summary()`` and ``to_json()``; a descriptor knows its word length,
+    which ``class_size(n)`` and ``representative(n)`` only check.
+    Exchangeable and l-Markov descriptors also provide ``pi_mass(letters)``
+    and ``cells``, the bit width of their signature masks.
 
     ``support_signature`` is (key, need, cover) with pi_k(c) != 0 exactly
     when key_k == key_c and need_c & ~cover_k == 0: ``pi_table`` reads it to
@@ -308,7 +308,13 @@ class TypeDescriptor:
         num, den = self.pi_ratio(c)
         return Fraction(num, den) if num else ZERO
 
-    def best_formula_json(self, n: int):
+    def representative(self, n: int) -> Word:
+        """The first of ``members()``, once ``class_size(n)`` has checked n."""
+        if not self.class_size(n):
+            raise EmptyClass("empty class has no representative")
+        return next(self.members())
+
+    def best_formula_json(self):
         """The factored BEST terms reported by ``exkit size``; None unless Markov."""
         return None
 
@@ -339,12 +345,9 @@ class ExchangeableType(TypeDescriptor):
             size //= math.factorial(c)
         return size
 
-    def members(self, n: int) -> Iterator[Word]:
+    def members(self) -> Iterator[Word]:
         """The words of the class, lazily, in lexicographic order."""
         return _multiset_words(self.counts)
-
-    def representative(self, n: int) -> Word:
-        return tuple(letter for letter, c in enumerate(self.counts) for _ in range(c))
 
     def pi_ratio(self, c: "ExchangeableType") -> tuple[int, int]:
         """prod_z t_{k,z}^t_{c,z} / n_k^n_c as an unreduced integer ratio,
@@ -374,7 +377,8 @@ class ExchangeableType(TypeDescriptor):
         n = sum(self.counts)
         return Fraction(sum(self.counts[z] for z in letters), n) ** n
 
-    def pi_summary(self, n: int) -> dict:
+    def pi_summary(self) -> dict:
+        n = sum(self.counts)
         return {"pi": [rational_str(Fraction(c, n)) for c in self.counts]}
 
     def to_json(self) -> dict:
@@ -467,7 +471,7 @@ class LMarkovType(TypeDescriptor):
         self.check_length(n)
         return self.size
 
-    def members(self, n: int) -> Iterator[Word]:
+    def members(self) -> Iterator[Word]:
         """The words of the class, lazily, in lexicographic order: the walks
         from the start gram that use up the count tensor, letter z taking
         gram g to gram (g d + z) mod d^l."""
@@ -492,11 +496,6 @@ class LMarkovType(TypeDescriptor):
                     row[z] += 1
 
         return walk(gram_rank(self.start, d), steps)
-
-    def representative(self, n: int) -> Word:
-        if not self.class_size(n):
-            raise EmptyClass("empty class has no representative")
-        return next(self.members(n))
 
     def pi_ratio(self, c: "LMarkovType") -> tuple[int, int]:
         """[start grams agree] * prod_{g,z} (t_{k,gz}/r_{k,g})^t_{c,gz} as an
@@ -557,7 +556,7 @@ class LMarkovType(TypeDescriptor):
     def start_json(self):
         return [v + 1 for v in self.start]
 
-    def pi_summary(self, n: int) -> dict:
+    def pi_summary(self) -> dict:
         kernel = [[rational_str(Fraction(t, r)) for t in row] for row, r in self.kernel]
         return {"start": self.start_json(), "kernel": kernel}
 
@@ -583,12 +582,12 @@ class MarkovType(LMarkovType):
     def start_json(self):
         return self.start[0] + 1
 
-    def best_formula_json(self, n: int) -> dict | None:
+    def best_formula_json(self) -> dict | None:
         """None when the end state has no outgoing transition (t_w = 0),
         where the factored form is not defined."""
         if self.end is None or not self.row_sums[self.end]:
             return None
-        terms = best_formula_terms(self, n)
+        terms = best_formula_terms(self, self.ell + sum(self.row_sums))
         return {
             "t_w": terms["t_w"],
             "spanning_trees": terms["spanning_trees"],
@@ -620,7 +619,7 @@ class ProductType(TypeDescriptor):
     def class_size(self, n: int) -> int:
         return math.prod(p.class_size(n) for p in self.parts)
 
-    def members(self, n: int) -> Iterator[Word]:
+    def members(self) -> Iterator[Word]:
         """The words of the class, lazily: every combination of the parts'
         members, the last part varying fastest.  This is not lexicographic
         order, and each part's members are walked afresh per combination of
@@ -631,17 +630,12 @@ class ProductType(TypeDescriptor):
             if i == len(self.parts):
                 yield ()
                 return
-            for word in self.parts[i].members(n):
+            for word in self.parts[i].members():
                 for rest in combos(i + 1):
                     yield (word,) + rest
 
         for combo in combos(0):
             yield tuple(alphabet.pack(letters) for letters in zip(*combo))
-
-    def representative(self, n: int) -> Word:
-        alphabet = self.alphabet()
-        reps = [p.representative(n) for p in self.parts]
-        return tuple(alphabet.pack(parts) for parts in zip(*reps))
 
     def pi_ratio(self, c: "ProductType") -> tuple[int, int]:
         num = den = 1
@@ -665,8 +659,8 @@ class ProductType(TypeDescriptor):
             shift += part.cells
         return tuple(keys), need, cover
 
-    def pi_summary(self, n: int) -> dict:
-        return {"parts": [p.pi_summary(n) for p in self.parts]}
+    def pi_summary(self) -> dict:
+        return {"parts": [p.pi_summary() for p in self.parts]}
 
     def to_json(self) -> dict:
         return {"kind": "product", "parts": [p.to_json() for p in self.parts]}
@@ -791,7 +785,7 @@ def class_members(
     size = class_size(descriptor, n)
     if size > cap:
         raise CapExceeded(f"class of size {size} exceeds cap {cap}")
-    return sorted(descriptor.members(n)) if size else []
+    return sorted(descriptor.members()) if size else []
 
 
 def representative(descriptor: TypeDescriptor, n: int) -> Word:

@@ -128,7 +128,8 @@ def relation_from_json(obj: dict) -> Relation:
     if kind == "lmarkov":
         return LMarkov(int(obj["ell"]))
     if kind == "product":
-        return ProductRelation(tuple(relation_from_json(p) for p in obj["parts"]))
+        parts = _array(obj.get("parts"), "a product's parts")
+        return ProductRelation(tuple(relation_from_json(p) for p in parts))
     raise ExkitError(f"unknown relation kind {kind!r}")
 
 

@@ -418,3 +418,147 @@ def test_non_invariant_class_over_the_cap_exits_4(cap, capsys):
     assert code == 4
     assert payload["error"] == "NotExchangeable"
     assert payload["witness"] == [[0, 0, 1, 1], [1, 1, 0, 0]]
+
+
+# Each subcommand takes exactly the flags it reads; any other is a usage error.
+SUBCOMMAND_FLAGS = {
+    "classes": {"--relation", "--ell", "--product", "--d", "--factors", "--format", "--enum-cap",
+                "--output", "--n", "--filter-word"},
+    "size": {"--relation", "--ell", "--product", "--d", "--factors", "--format", "--output",
+             "--word"},
+    "certify": {"--relation", "--ell", "--product", "--format", "--precision-bits", "--enum-cap",
+                "--output", "--conditional", "--alpha-mode", "--verify"},
+    "alpha": {"--relation", "--ell", "--product", "--d", "--factors", "--format",
+              "--precision-bits", "--output", "--n"},
+    "mp": {"--format", "--enum-cap", "--output", "--d", "--n", "--type"},
+    "beta": {"--format", "--precision-bits", "--output", "--d", "--n"},
+    "conditional": {"--relation", "--ell", "--product", "--format", "--precision-bits",
+                    "--enum-cap", "--output", "--verify"},
+    "counterexample": {"--format", "--output"},
+    "game": {"--format", "--precision-bits", "--enum-cap", "--output", "--n", "--mode", "--kernel",
+             "--strategy"},
+}
+
+
+def subcommand_flags():
+    subparsers = next(
+        action for action in cli.build_parser()._actions if action.dest == "command"
+    )
+    return {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    flags = subcommand_flags()
+    assert flags == SUBCOMMAND_FLAGS
+    assert sum(map(len, flags.values())) == 66
+
+
+MARKOV_DIST = str(GOLDEN / "markov_d2_n4.json")
+JOINT = str(GOLDEN / "joint_2x2_n3.json")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["classes", "--relation", "markov", "--d", "2", "--n", "3"], ["--precision-bits", "128"]),
+    (["size", "--relation", "markov", "--d", "2", "--word", "12"], ["--precision-bits", "128"]),
+    (["size", "--relation", "markov", "--d", "2", "--word", "12"], ["--enum-cap", "10"]),
+    (["certify", MARKOV_DIST, "--relation", "markov"], ["--d", "2"]),
+    (["certify", MARKOV_DIST, "--relation", "markov"], ["--factors", "1,2"]),
+    (["conditional", JOINT], ["--d", "4"]),
+    (["conditional", JOINT], ["--factors", "2,2"]),
+    (["alpha", "--d", "2", "--n", "4"], ["--enum-cap", "10"]),
+    (["beta", "--d", "2", "--n", "4"], ["--enum-cap", "10"]),
+    (["mp", "--d", "2", "--n", "2"], ["--precision-bits", "128"]),
+    (["counterexample"], ["--precision-bits", "128"]),
+    (["counterexample"], ["--enum-cap", "10"]),
+])
+def test_dropped_flags_exit_4(argv, flag, capsys):
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    captured = capsys.readouterr()
+    assert exc.value.code == 4
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+def assert_rejects_flag(argv, flag, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "ExkitError" and flag in error["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classes", "--product", "exchangeable,markov", "--factors", "2,2", "--n", "2"],
+    ["classes", "--relation", "markov", "--product", "exchangeable,markov", "--factors", "2,2",
+     "--n", "2"],
+    ["size", "--relation", "exchangeable", "--product", "exchangeable,markov", "--d", "2",
+     "--word", "12"],
+    ["alpha", "--relation", "lmarkov", "--product", "markov,markov", "--d", "2", "--n", "4"],
+    ["certify", str(Path(__file__).parent / "data" / "noninvariant_exchangeable_d2_n4.json"),
+     "--product", "exchangeable,markov"],
+])
+def test_product_without_relation_product_exits_4(argv, capsys):
+    assert_rejects_flag(argv, "--product", capsys)
+
+
+@pytest.mark.parametrize("relation, alphabet", [
+    ("markov", ["--d", "2"]),
+    ("exchangeable", ["--d", "2"]),
+    ("product", ["--factors", "2,2"]),
+])
+def test_ell_without_relation_lmarkov_exits_4(relation, alphabet, capsys):
+    argv = ["classes", "--relation", relation, "--ell", "5", "--n", "3"] + alphabet
+    assert_rejects_flag(argv, "--ell 5", capsys)
+    argv = ["alpha", "--relation", relation, "--ell", "5", "--n", "3"] + alphabet
+    assert_rejects_flag(argv, "--ell 5", capsys)
+    assert_rejects_flag(["certify", MARKOV_DIST, "--relation", relation, "--ell", "5"], "--ell 5",
+                        capsys)
+
+
+def test_ell_without_relation_exits_4(capsys):
+    assert_rejects_flag(["classes", "--ell", "3", "--d", "2", "--n", "4"], "--ell 3", capsys)
+
+
+@pytest.mark.parametrize("parts, named", [
+    ("markov:3,exchangeable", "only lmarkov takes an order"),
+    ("exchangeable,exchangeable:2", "only lmarkov takes an order"),
+    ("lmarkov2,exchangeable", "unknown relation kind 'lmarkov2'"),
+])
+def test_product_parts_go_through_the_relation_parser(parts, named, capsys):
+    argv = ["classes", "--relation", "product", "--product", parts, "--factors", "2,2", "--n", "3"]
+    assert_rejects_flag(argv, named, capsys)
+
+
+@pytest.mark.parametrize("relation, parts, expected", [
+    ("lmarkov", ["--ell", "3"], {"kind": "lmarkov", "ell": 3}),
+    ("lmarkov", [], {"kind": "lmarkov", "ell": 2}),
+    ("product", ["--product", "lmarkov:3, markov"],
+     {"kind": "product", "parts": [{"kind": "lmarkov", "ell": 3}, {"kind": "markov"}]}),
+    ("product", ["--product", "lmarkov,exchangeable"],
+     {"kind": "product", "parts": [{"kind": "lmarkov", "ell": 2}, {"kind": "exchangeable"}]}),
+    ("product", [], {"kind": "product", "parts": [{"kind": "exchangeable"}] * 2}),
+])
+def test_relation_flags_name_the_relation(relation, parts, expected, capsys):
+    alphabet = ["--factors", "2,2"] if relation == "product" else ["--d", "2"]
+    code, out = run(capsys, "alpha", "--relation", relation, *parts, *alphabet, "--n", "5")
+    assert code == 0
+    assert json.loads(out)["relation"] == expected
+
+
+@pytest.mark.parametrize("t", ["1,2", "1,1,0", "3,-1"])
+def test_mp_type_must_be_d_counts_summing_to_n(t, capsys):
+    code = main(["mp", "--d", "2", "--n", "2", "--type", t])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "BadParams"
+    assert f"type [{t.replace(',', ', ')}]" in error["detail"]
+    assert "d = 2" in error["detail"] and "n = 2" in error["detail"]

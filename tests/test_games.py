@@ -305,3 +305,27 @@ def test_tensor_strategy_stays_behind_the_enumeration_cap():
     assert len(tensor_strategy(CHSH, witness, 3, cap=16**3).table) == 4**3
     with pytest.raises(CapExceeded):
         tensor_strategy(CHSH, witness, 3, cap=16**3 - 1)
+
+
+def test_symmetrize_one_round_game_with_tuple_labels():
+    # The labels of a one-round game may be tuples; n = 1 because the
+    # repeated game is the game itself.
+    def wrap(axis):
+        return tuple((v, v) for v in axis)
+
+    game = Game(
+        *map(wrap, CHSH.axes),
+        {((x, x), (y, y)): t for (x, y), t in CHSH.input_law.items()},
+        frozenset(tuple((v, v) for v in play) for play in CHSH.predicate),
+    )
+    rng = random.Random(7)
+    outs = [(a, b) for a in game.outputs_a for b in game.outputs_b]
+    table = {}
+    for x in game.inputs_x:
+        for y in game.inputs_y:
+            weights = [rng.randint(1, 5) for _ in outs]
+            table[(x, y)] = {ab: Fraction(w, sum(weights)) for ab, w in zip(outs, weights)}
+    strategy = Strategy(table)
+    assert symmetrize_strategy(game, parallel_game(game, 1), strategy).table == strategy.table
+    repeated = sequential_game(game, iid_kernel(game), 1)
+    assert symmetrize_strategy(game, repeated, strategy, MARKOV).table == strategy.table

@@ -114,3 +114,17 @@ def test_cone_constants_report_smaller_route():
     assert report["alpha_tight"] == Fraction(9, 4)
     assert report["beta_self"] == Fraction(35, 12)
     assert report["smaller"] == "alpha"
+
+
+@pytest.mark.parametrize("t", [(1, 2), (1, 1, 0), (3, -1)])
+def test_types_off_the_lambda_matrix_are_bad_params(t):
+    with pytest.raises(BadParams, match=r"d = 2 .* n = 2"):
+        lambda_matrix(2, 2).index(t)
+    if len(t) == 2:  # mp_of_extreme reads d off the type
+        with pytest.raises(BadParams):
+            mp_of_extreme(t, 2)
+
+
+def test_cone_constants_take_no_precision():
+    with pytest.raises(TypeError):
+        cone_constants((2, 1), 3, 128)

@@ -315,3 +315,31 @@ def test_word_key_is_equal_exactly_when_the_types_are(relation, alphabet, n):
         for w2 in words:
             assert (keys[w1] == keys[w2]) == (types[w1] == types[w2]), (w1, w2)
 
+
+
+@pytest.mark.parametrize("descr", [
+    ExchangeableType((1, 1)),
+    MarkovType(0, ((1, 0), (0, 0))),
+    ProductType((ExchangeableType((1, 1)), ExchangeableType((2, 0)))),
+])
+def test_representative_checks_the_word_length(descr):
+    with pytest.raises(InconsistentDescriptor):
+        representative(descr, 5)
+
+
+def test_descriptors_list_members_and_summaries_at_their_own_length():
+    # members(), pi_summary() and best_formula_json() read the length off
+    # the descriptor; class_members(descr, n) checks n and sorts members().
+    for relation, alphabet, n in (
+        (EXCHANGEABLE, A3, 4),
+        (MARKOV, A2, 5),
+        (ProductRelation((Exchangeable(), Markov())), A22, 3),
+    ):
+        groups = brute_force_index(relation, alphabet, n)
+        for descr, words in groups.items():
+            assert sorted(descr.members()) == class_members(descr, n) == sorted(words)
+            assert descr.pi_summary() is not None
+    descr = type_of((0, 0, 2, 1, 2, 0, 1, 1), MARKOV, A3)
+    terms = best_formula_terms(descr, 8)
+    assert descr.best_formula_json()["spanning_trees"] == terms["spanning_trees"] == 3
+    assert ExchangeableType((1, 3)).pi_summary() == {"pi": ["1/4", "3/4"]}
