@@ -13,6 +13,7 @@ alternative pre-factor to alpha(n)^2 for the same cone membership.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,7 +68,9 @@ class LambdaMatrix:
         return self.entries[self.index(s)][self.index(t)]
 
 
+@functools.lru_cache(maxsize=4)
 def lambda_matrix(n: int, d: int) -> LambdaMatrix:
+    """The checked matrix, kept for the last four (n, d): it is immutable."""
     if n < 1 or d < 1:
         raise BadParams("lambda matrix needs n >= 1, d >= 1")
     types = tuple(compositions(n, d))

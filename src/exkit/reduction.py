@@ -103,7 +103,8 @@ def alpha_tight(descriptor: TypeDescriptor, n: int) -> Fraction:
     size = class_size(descriptor, n)
     if size == 0:
         raise EmptyClass(f"{descriptor} is realized by no word of length {n}")
-    return 1 / (size * descriptor.pi_at(descriptor))
+    num, den = descriptor.pi_ratio(descriptor)
+    return Fraction(den, size * num)
 
 
 # -- analytic pre-factor --------------------------------------------------------

@@ -110,7 +110,7 @@ class LMarkov(Relation):
 
     def __post_init__(self) -> None:
         if self.ell < 1:
-            raise ValueError("l-Markov order must be >= 1")
+            raise BadParams("l-Markov order must be >= 1")
 
     def min_word_length(self) -> int:
         return self.ell + 1
@@ -220,7 +220,7 @@ class ProductRelation(Relation):
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
         if any(isinstance(p, ProductRelation) for p in self.parts):
-            raise ValueError("product relations do not nest; flatten the factors")
+            raise BadParams("product relations do not nest; flatten the factors")
 
     def min_word_length(self) -> int:
         return max(p.min_word_length() for p in self.parts)
@@ -284,6 +284,12 @@ def min_word_length(relation: Relation) -> int:
 
 
 # -- type descriptors ----------------------------------------------------------
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """``rational_str(Fraction(num, den))`` for den > 0, without the Fraction."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 class TypeDescriptor:
@@ -379,7 +385,7 @@ class ExchangeableType(TypeDescriptor):
 
     def pi_summary(self) -> dict:
         n = sum(self.counts)
-        return {"pi": [rational_str(Fraction(c, n)) for c in self.counts]}
+        return {"pi": [_ratio_str(c, n) for c in self.counts]}
 
     def to_json(self) -> dict:
         return {"kind": "exchangeable", "t": list(self.counts)}
@@ -557,7 +563,7 @@ class LMarkovType(TypeDescriptor):
         return [v + 1 for v in self.start]
 
     def pi_summary(self) -> dict:
-        kernel = [[rational_str(Fraction(t, r)) for t in row] for row, r in self.kernel]
+        kernel = [[_ratio_str(t, r) for t in row] for row, r in self.kernel]
         return {"start": self.start_json(), "kernel": kernel}
 
     def to_json(self) -> dict:

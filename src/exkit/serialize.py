@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .conditional import ConditionalCertificate
@@ -67,6 +68,22 @@ def _int_array(obj, what: str, length: int | None = None) -> list[int]:
     if not all(isinstance(v, int) for v in _array(obj, what)) or length not in (None, len(obj)):
         raise ExkitError(f"{what} must be an array of {length or 'some'} integers, got {obj!r}")
     return obj
+
+
+def _field(obj: dict, name: str, what: str):
+    """``obj[name]``, else an input error naming the field."""
+    if name not in obj:
+        raise ExkitError(f"{what} has no {name!r} field")
+    return obj[name]
+
+
+def _int_field(obj: dict, name: str, what: str) -> int:
+    """``obj[name]`` read as an integer, else an input error naming the field."""
+    value = _field(obj, name, what)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ExkitError(f"{what}'s {name!r} must be an integer, got {value!r}") from None
 
 
 def word_str(word: Word, alphabet_size: int) -> str:
@@ -120,15 +137,16 @@ def relation_to_json(relation: Relation) -> dict:
 
 
 def relation_from_json(obj: dict) -> Relation:
-    kind = _object(obj, "a relation")["kind"]
+    what = "a relation"
+    kind = _field(_object(obj, what), "kind", what)
     if kind == "exchangeable":
         return Exchangeable()
     if kind == "markov":
         return Markov()
     if kind == "lmarkov":
-        return LMarkov(int(obj["ell"]))
+        return LMarkov(_int_field(obj, "ell", what))
     if kind == "product":
-        parts = _array(obj.get("parts"), "a product's parts")
+        parts = _array(_field(obj, "parts", what), "a product's parts")
         return ProductRelation(tuple(relation_from_json(p) for p in parts))
     raise ExkitError(f"unknown relation kind {kind!r}")
 
@@ -138,20 +156,21 @@ def descriptor_to_json(descriptor: TypeDescriptor) -> dict:
 
 
 def descriptor_from_json(obj: dict) -> TypeDescriptor:
-    kind = obj["kind"]
-    if kind == "exchangeable":
-        return ExchangeableType(tuple(obj["t"]))
-    if kind == "markov":
-        return MarkovType(int(obj["start"]) - 1, tuple(tuple(row) for row in obj["t"]))
-    if kind == "lmarkov":
-        return LMarkovType(
-            int(obj["ell"]),
-            tuple(int(v) - 1 for v in obj["start"]),
-            tuple(tuple(row) for row in obj["t"]),
-        )
+    what = "a type descriptor"
+    kind = _field(_object(obj, what), "kind", what)
     if kind == "product":
-        return ProductType(tuple(descriptor_from_json(p) for p in obj["parts"]))
-    raise ExkitError(f"unknown descriptor kind {kind!r}")
+        parts = _array(_field(obj, "parts", what), "a product's parts")
+        return ProductType(tuple(descriptor_from_json(p) for p in parts))
+    if kind not in ("exchangeable", "markov", "lmarkov"):
+        raise ExkitError(f"unknown descriptor kind {kind!r}")
+    t = _array(_field(obj, "t", what), f"{what}'s 't'")
+    if kind == "exchangeable":
+        return ExchangeableType(tuple(_int_array(t, f"{what}'s 't'")))
+    rows = tuple(tuple(_int_array(row, f"a row of {what}'s 't'")) for row in t)
+    if kind == "markov":
+        return MarkovType(_int_field(obj, "start", what) - 1, rows)
+    start = _int_array(_field(obj, "start", what), f"{what}'s 'start'")
+    return LMarkovType(_int_field(obj, "ell", what), tuple(v - 1 for v in start), rows)
 
 
 # -- graphs ------------------------------------------------------------------------
@@ -298,5 +317,40 @@ def strategy_from_json(obj: dict) -> Strategy:
     return Strategy(table)
 
 
-def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+def dumps(obj) -> str:
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2)`` (whose indent makes
+    the stdlib encode in pure Python) for dicts with str keys, lists, tuples,
+    str, int, bool and None; any other value goes through ``json.dumps``,
+    which prints a float and raises TypeError on an unserializable object."""
+    return _write(obj, "\n")
+
+
+def _write(value, newline: str) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = ("," + inner).join(
+            f"{encode_basestring_ascii(k)}: {_write(v, inner)}" for k, v in sorted(value.items())
+        )
+        return f"{{{inner}{body}{newline}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(int.__repr__, value)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, value)
+        else:
+            items = (_write(v, inner) for v in value)
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    return json.dumps(value)

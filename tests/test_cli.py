@@ -1,11 +1,12 @@
 import json
+import math
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from exkit import cli, games, relations, serialize
+from exkit import cli, games, mp, relations, serialize
 from exkit.cli import main
 from exkit.core import Alphabet, make_distribution, tensor_power, uniform
 from exkit.games import chsh_game, iid_kernel
@@ -562,3 +563,51 @@ def test_mp_type_must_be_d_counts_summing_to_n(t, capsys):
     assert error["error"] == "BadParams"
     assert f"type [{t.replace(',', ', ')}]" in error["detail"]
     assert "d = 2" in error["detail"] and "n = 2" in error["detail"]
+
+
+def test_mp_type_builds_the_lambda_matrix_once(monkeypatch, capsys):
+    # cmd_mp, mp_of_extreme and cone_constants share one (n, d) matrix.
+    mp.lambda_matrix.cache_clear()
+    calls = []
+    original = mp._lambda_entry
+    monkeypatch.setattr(mp, "_lambda_entry", lambda *args: calls.append(args) or original(*args))
+    code, out = run(capsys, "mp", "--d", "3", "--n", "4", "--type", "2,1,1")
+    assert code == 0 and json.loads(out)["cone"]["smaller"] in ("alpha", "beta")
+    assert len(calls) == math.comb(4 + 2, 2) ** 2
+
+
+@pytest.mark.parametrize("relation, error, detail", [
+    ({"kind": "lmarkov"}, "ExkitError", "'ell'"),
+    ({"kind": "lmarkov", "ell": "x"}, "ExkitError", "'ell'"),
+    ({"ell": 2}, "ExkitError", "'kind'"),
+    ({"kind": "product"}, "ExkitError", "'parts'"),
+    ({"kind": "lmarkov", "ell": 0}, "BadParams", "order must be >= 1"),
+    ({"kind": "product", "parts": [{"kind": "product", "parts": [{"kind": "markov"}]}]},
+     "BadParams", "do not nest"),
+])
+def test_verify_names_the_bad_relation_field(relation, error, detail, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({**CERT_MARKOV, "relation": relation}))
+    code = main(["certify", str(path), "--verify"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == error and detail in err["detail"]
+
+
+@pytest.mark.parametrize("argv, error, detail", [
+    (["classes", "--relation", "product", "--product", "lmarkov:x", "--factors", "2,2", "--n", "2"],
+     "ExkitError", "'ell'"),
+    (["alpha", "--relation", "product", "--product", "exchangeable,lmarkov:1.5", "--factors", "2,2", "--n", "4"],
+     "ExkitError", "'ell'"),
+    (["classes", "--relation", "lmarkov", "--ell", "0", "--d", "2", "--n", "3"],
+     "BadParams", "order must be >= 1"),
+    (["alpha", "--relation", "product", "--product", "markov,lmarkov:0", "--factors", "2,2", "--n", "4"],
+     "BadParams", "order must be >= 1"),
+])
+def test_relation_flags_name_the_bad_field(argv, error, detail, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == error and detail in err["detail"]

@@ -7,7 +7,7 @@ import pytest
 
 import exkit.reduction as reduction
 from exkit import serialize
-from exkit.core import Alphabet, dirac, make_distribution, tensor_power, uniform
+from exkit.core import Alphabet, dirac, make_distribution, rational_str, tensor_power, uniform
 from exkit.errors import BadParams, EmptyClass, NotExchangeable, WordTooShort
 from exkit.intervals import IntervalScalar
 from exkit.reduction import (
@@ -34,6 +34,7 @@ from exkit.relations import (
     Markov,
     MarkovType,
     ProductRelation,
+    ProductType,
     class_members,
     enumerate_types,
     type_of,
@@ -519,3 +520,32 @@ def test_a_class_over_the_cap_still_gets_its_missing_word(relation, alphabet, n)
         first, missing = err.value.witness
         assert first == kept[0] and missing not in p.entries
         assert type_of(missing, relation, alphabet) == descr
+
+
+# pi_summary and alpha_tight reduce p/q with integers; the Fraction forms they
+# replaced are the oracle.
+
+
+def _fraction_pi_summary(descriptor):
+    if isinstance(descriptor, ProductType):
+        return {"parts": [_fraction_pi_summary(p) for p in descriptor.parts]}
+    if isinstance(descriptor, ExchangeableType):
+        n = sum(descriptor.counts)
+        return {"pi": [rational_str(Fraction(c, n)) for c in descriptor.counts]}
+    kernel = [[rational_str(Fraction(t, r)) for t in row] for row, r in descriptor.kernel]
+    return {"start": descriptor.start_json(), "kernel": kernel}
+
+
+@pytest.mark.parametrize(
+    "relation, alphabet, n",
+    [
+        (EXCHANGEABLE, A3, 5),
+        (MARKOV, A3, 5),
+        (LMarkov(2), A2, 7),
+        (ProductRelation((EXCHANGEABLE, MARKOV)), Alphabet(4, (2, 2)), 3),
+    ],
+)
+def test_integer_pi_summary_and_alpha_tight_match_the_fraction_forms(relation, alphabet, n):
+    for descr, size in enumerate_types(relation, alphabet, n).items:
+        assert descr.pi_summary() == _fraction_pi_summary(descr), descr
+        assert alpha_tight(descr, n) == 1 / (size * descr.pi_at(descr)), descr

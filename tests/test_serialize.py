@@ -1,11 +1,13 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from exkit import serialize
 from exkit.core import Alphabet, make_distribution, uniform
-from exkit.errors import ExkitError
+from exkit.errors import BadParams, ExkitError
 from exkit.games import chsh_game, iid_kernel, classical_value
 from exkit.graphs import DirectedMultigraph
 from exkit.relations import (
@@ -124,3 +126,88 @@ def test_conditional_certificate_json_shape():
 def test_dumps_deterministic():
     obj = {"b": [1, 2], "a": {"y": "1/2", "x": "3/4"}}
     assert serialize.dumps(obj) == serialize.dumps(json.loads(serialize.dumps(obj)))
+
+
+# dumps is a writer of its own that must print exactly what the stdlib's
+# indent-2, sorted-key encoder prints.
+
+_TEXT = st.one_of(st.text(), st.text(alphabet='"\\/\x00\x1f\x7f\n\té \U0001f600'))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**80), 10**80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _TEXT,
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.integers(), max_size=4),
+        st.lists(_TEXT, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_VALUES)
+@example({"": [], "b": {}, "a": (1, -(2**200), True, None), "é\"\n": ["x", "\x00"]})
+@example([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, [[], {}, ()]])
+@example(())
+def test_dumps_is_byte_exact_against_the_stdlib(value):
+    assert serialize.dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, {"a": [object()]}, [Fraction(1, 2)], ({"x": frozenset()},)])
+def test_dumps_raises_the_stdlibs_type_error(value):
+    with pytest.raises(TypeError) as ours:
+        serialize.dumps(value)
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(value, sort_keys=True, indent=2)
+    assert str(ours.value) == str(stdlib.value)
+
+
+# The readers name the field that is missing or malformed.
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"ell": 2}, "'kind'"),
+    ({"kind": "lmarkov"}, "'ell'"),
+    ({"kind": "lmarkov", "ell": "x"}, "'ell'"),
+    ({"kind": "lmarkov", "ell": None}, "'ell'"),
+    ({"kind": "product"}, "'parts'"),
+])
+def test_relation_from_json_names_the_bad_field(obj, field):
+    with pytest.raises(ExkitError, match=re.escape(field)):
+        serialize.relation_from_json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "lmarkov", "ell": 0},
+    {"kind": "product", "parts": [{"kind": "product", "parts": [{"kind": "exchangeable"}]}]},
+])
+def test_relation_from_json_rejects_bad_params(obj):
+    with pytest.raises(BadParams):
+        serialize.relation_from_json(obj)
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"t": [1, 2]}, "'kind'"),
+    ({"kind": "exchangeable"}, "'t'"),
+    ({"kind": "exchangeable", "t": ["a", 1]}, "'t'"),
+    ({"kind": "markov", "t": [[1, 0], [0, 1]]}, "'start'"),
+    ({"kind": "markov", "start": "x", "t": [[1, 0], [0, 1]]}, "'start'"),
+    ({"kind": "markov", "start": 1}, "'t'"),
+    ({"kind": "markov", "start": 1, "t": [[1, "0"], [0, 1]]}, "'t'"),
+    ({"kind": "lmarkov", "start": [1], "t": [[1, 0], [0, 1]]}, "'ell'"),
+    ({"kind": "lmarkov", "ell": 1, "t": [[1, 0], [0, 1]]}, "'start'"),
+    ({"kind": "product"}, "'parts'"),
+    ({"kind": "product", "parts": [{"kind": "exchangeable"}]}, "'t'"),
+])
+def test_descriptor_from_json_names_the_bad_field(obj, field):
+    with pytest.raises(ExkitError, match=re.escape(field)):
+        serialize.descriptor_from_json(obj)
