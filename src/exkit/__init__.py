@@ -4,12 +4,9 @@ from .core import (
     Alphabet,
     ConditionalDistribution,
     FiniteDistribution,
-    Verdict,
     Word,
     dirac,
-    make_distribution,
     marginal,
-    pointwise_dominates,
     tensor_power,
     uniform,
 )
@@ -29,7 +26,6 @@ from .relations import (
     class_members,
     class_size,
     enumerate_types,
-    is_nonempty,
     type_of,
 )
 from .reduction import (
@@ -38,8 +34,6 @@ from .reduction import (
     alpha_analytic,
     alpha_tight,
     decompose,
-    empirical_pi,
-    fidelity_squared,
     stirling_bounds,
     uniform_class_dist,
     verify_flexible_reduction,
@@ -50,7 +44,6 @@ __version__ = "0.1.0"
 from .conditional import (
     ConditionalCertificate,
     condition,
-    empirical_alpha_prime,
     lift_conditional,
     marginal_type,
     markov_marginal_counterexample,
@@ -65,14 +58,6 @@ from .games import (
     definetti_upper_bound,
     parallel_game,
     sequential_game,
-    symmetrize_strategy,
     winning_probability,
-)
-from .graphs import (
-    DirectedMultigraph,
-    arborescence_count,
-    eulerian_trajectory_count_bruteforce,
-    is_eulerian,
-    transition_graph,
 )
 from .mp import LambdaMatrix, beta_bound, dirichlet_moment, lambda_matrix, mp_of_extreme

@@ -34,7 +34,7 @@ from .games import (
     iid_kernel,
     tensor_strategy,
 )
-from .intervals import DEFAULT_BITS
+from .intervals import DEFAULT_BITS, MAX_BITS
 from .mp import beta_bound, cone_constants, lambda_matrix, mp_of_extreme
 from .reduction import (
     alpha_analytic,
@@ -118,8 +118,11 @@ def _alphabet_from_args(args) -> Alphabet:
 
 
 def _checked_bits(bits: int) -> int:
+    """A starting precision from 64 bits up to MAX_BITS, where escalation stops."""
     if bits < 64:
         raise ExkitError("precision must be >= 64 bits")
+    if bits > MAX_BITS:
+        raise ExkitError(f"precision must be <= {MAX_BITS} bits")
     return bits
 
 
@@ -305,25 +308,26 @@ def _recheck_certificate(args, cert_obj: dict) -> int:
         "--verify (the certificate's own relation and options are re-checked)",
         also=("--conditional", "--precision-bits"),
     )
-    if not isinstance(cert_obj, dict):
-        raise ExkitError(f"a certificate must be a JSON object, got {type(cert_obj).__name__}")
-    options = cert_obj.get("options", {})
-    if not isinstance(options, dict):
-        raise ExkitError(f"options must be a JSON object, got {type(options).__name__}")
+    what = "a certificate"
+    serialize._object(cert_obj, what)
+    options = serialize._object(cert_obj.get("options", {}), "options")
     if args.command == "conditional" and not options.get("conditional"):
         raise ExkitError(
             "conditional --verify conflicts with a flexible certificate "
             "(options.conditional is false); re-check it with certify --verify"
         )
-    dist = serialize.distribution_from_json(cert_obj["input"])
+    given = serialize._field(cert_obj, "input", what)
+    dist = serialize.distribution_from_json(given)
     bits = _checked_bits(int(options.get("bits", DEFAULT_BITS)))
     relation = (
-        None if options.get("conditional") else serialize.relation_from_json(cert_obj["relation"])
+        None
+        if options.get("conditional")
+        else serialize.relation_from_json(serialize._field(cert_obj, "relation", what))
     )
     cert, fresh = _certificate(
         dist, relation, bits, args.enum_cap, options.get("alpha_mode", "analytic")
     )
-    fresh["input"] = cert_obj["input"]
+    fresh["input"] = given
     fresh["options"] = options
     match = serialize.dumps(fresh) == serialize.dumps(cert_obj)
     _emit(args, {"verified": match, "verdict": cert.verdict})
@@ -347,6 +351,12 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_mp(args) -> int:
+    # One lambda entry per pair of the C(n+d-1, d-1) types; lambda_matrix
+    # itself rejects n or d below 1.
+    if args.n >= 1 and args.d >= 1:
+        entries = math.comb(args.n + args.d - 1, args.d - 1) ** 2
+        if entries > args.enum_cap:
+            raise CapExceeded(f"{entries} lambda entries exceed enumeration cap {args.enum_cap}")
     lam = lambda_matrix(args.n, args.d)
     payload: dict = {
         "d": args.d,

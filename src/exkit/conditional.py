@@ -42,7 +42,6 @@ from .reduction import (
     alpha_analytic,
     check_exchangeable,
     decompose,
-    empirical_pi,
     pi_table,
     triage,
     uniform_class_dist,
@@ -207,20 +206,6 @@ def markov_marginal_counterexample() -> CounterexampleReport:
         marginal_is_markov_exchangeable=is_invariant,
         exchangeable_analogue_holds=exch_ok,
     )
-
-
-def empirical_alpha_prime(
-    descriptor, joint_alphabet: Alphabet, n: int, cap: int = DEFAULT_ENUM_CAP
-) -> Fraction:
-    """Tight ratio max pi_{k,X^n} / Q_{k,X^n} over the support of Q_{k,X^n}.
-
-    For exchangeable joint types this never exceeds 1 (the marginal lemma);
-    for Markov-family types the value is reported as observed, with no claim
-    about its growth in n.
-    """
-    q_x = marginal(uniform_class_dist(descriptor, n, cap, alphabet=joint_alphabet), X_FACTOR)
-    pi_x = marginal(empirical_pi(descriptor, n, cap, alphabet=joint_alphabet), X_FACTOR)
-    return max(pi_x(x) / q_x(x) for x in q_x.support())
 
 
 @dataclass(frozen=True)

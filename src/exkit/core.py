@@ -1,4 +1,4 @@
-"""Alphabets, words, exact finite distributions and certified comparisons.
+"""Alphabets, words and exact finite distributions.
 
 Words over an alphabet of size d are tuples of 0-based letter indices.
 Distributions map words to exact rationals and are kept sparse (zero entries
@@ -22,7 +22,6 @@ from .errors import (
     NotFactored,
     SumNotOne,
 )
-from .intervals import IntervalScalar
 
 Word = tuple[int, ...]
 
@@ -142,13 +141,6 @@ class FiniteDistribution:
     def support(self) -> Iterable[Word]:
         return self.entries.keys()
 
-    def same_shape(self, other: "FiniteDistribution") -> None:
-        if self.alphabet.size != other.alphabet.size or self.n != other.n:
-            raise DimensionMismatch(
-                f"shape ({self.alphabet.size}, {self.n}) vs "
-                f"({other.alphabet.size}, {other.n})"
-            )
-
 
 @dataclass(frozen=True)
 class ConditionalDistribution:
@@ -177,13 +169,6 @@ class ConditionalDistribution:
 
     def inputs(self) -> Iterable[Word]:
         return self.slices.keys()
-
-
-def make_distribution(
-    alphabet: Alphabet, n: int, entries: Mapping[Word, Fraction]
-) -> FiniteDistribution:
-    """Validate and build a distribution; raises SumNotOne / BadWordLength."""
-    return FiniteDistribution(alphabet, n, entries)
 
 
 def dirac(alphabet: Alphabet, word: Word) -> FiniteDistribution:
@@ -229,51 +214,3 @@ def marginal(dist: FiniteDistribution, keep: int) -> FiniteDistribution:
         projected = project_word(alphabet, word, keep)
         entries[projected] = entries.get(projected, ZERO) + value
     return FiniteDistribution(target, dist.n, entries)
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a certified pointwise comparison."""
-
-    kind: str  # "holds" | "fails" | "inconclusive"
-    witness: Optional[Word] = None
-    margin: Optional[Fraction] = None
-
-    @property
-    def holds(self) -> bool:
-        return self.kind == "holds"
-
-    @property
-    def fails(self) -> bool:
-        return self.kind == "fails"
-
-
-HOLDS = Verdict("holds")
-INCONCLUSIVE = Verdict("inconclusive")
-
-
-def pointwise_dominates(
-    c: IntervalScalar, q: FiniteDistribution, p: FiniteDistribution
-) -> Verdict:
-    """Certified check of the pointwise inequality p <= c * q.
-
-    Holds requires p(w) <= c.lo * q(w) for every word; a failure witness has
-    p(w) > c.hi * q(w).  Overlapping cases yield Inconclusive, which can only
-    resolve (never flip) under higher precision for c.
-    """
-    p.same_shape(q)
-    inconclusive = False
-    worst: Optional[tuple[Word, Fraction]] = None
-    for word, pv in p.entries.items():
-        qv = q(word)
-        if pv > c.hi * qv:
-            margin = pv - c.hi * qv
-            if worst is None or margin > worst[1]:
-                worst = (word, margin)
-        elif pv > c.lo * qv:
-            inconclusive = True
-    if worst is not None:
-        return Verdict("fails", witness=worst[0], margin=worst[1])
-    if inconclusive:
-        return INCONCLUSIVE
-    return HOLDS

@@ -35,10 +35,6 @@ class InconsistentDescriptor(ExkitError):
     pass
 
 
-class NoValidEnd(ExkitError):
-    pass
-
-
 class EmptyClass(ExkitError):
     pass
 

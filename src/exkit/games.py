@@ -21,7 +21,7 @@ from .core import Alphabet, DEFAULT_ENUM_CAP, FiniteDistribution, Word, ZERO, ON
 from .errors import BadParams, CapExceeded, DimensionMismatch, KernelNotStationary
 from .intervals import DEFAULT_BITS, IntervalScalar
 from .reduction import Fidelities, alpha_analytic, alpha_tight, decompose
-from .relations import EXCHANGEABLE, MARKOV, Relation, type_of
+from .relations import EXCHANGEABLE, MARKOV, Relation
 
 
 @dataclass(frozen=True)
@@ -270,77 +270,6 @@ def joint_weight(
             word = tuple(map(letter, plays))
             entries[word] = entries.get(word, ZERO) + t * p
     return FiniteDistribution(_round_alphabet(game), n, entries)
-
-
-def _word_to_play(game: Game, word: Word, alphabet: Alphabet):
-    """The x, y, a and b tuples of a word: the inverse of ``_letter_of``."""
-    plays = [
-        tuple(axis[i] for axis, i in zip(game.axes, alphabet.unpack(letter)))
-        for letter in word
-    ]
-    return tuple(zip(*plays))
-
-
-def symmetrize_strategy(
-    game: Game,
-    repeated: Game,
-    strategy: Strategy,
-    relation: Relation = EXCHANGEABLE,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> Strategy:
-    """Average the played joint weight over the relation's classes on
-    (X x Y x A x B)^n and re-condition on the averaged input marginal.
-
-    Under the exchangeable relation the output is always an invariant
-    conditional with the same winning probability (class-averaging is the
-    symmetric-group average, which commutes with the input marginal).  Under
-    the Markov relation that commutation can fail for large n, so invariance
-    of the result is guaranteed only for inputs whose joint weight is already
-    class-constant (e.g. tensor-power strategies, or any strategy at n = 2
-    where Markov classes are singletons); definetti_upper_bound re-checks the
-    property and raises NotExchangeable rather than proceeding silently.
-    """
-    # parallel_game and sequential_game return the base game itself at n = 1.
-    n = 1 if repeated is game else len(repeated.inputs_x[0])
-    alphabet = _round_alphabet(game)
-    w = joint_weight(game, repeated, strategy, n)
-    groups: dict = {}
-    for word in alphabet.words(n, cap):
-        groups.setdefault(type_of(word, relation, alphabet), []).append(word)
-    averaged: dict[Word, Fraction] = {}
-    for words in groups.values():
-        total = sum((w(x) for x in words), ZERO)
-        if total:
-            share = total / len(words)
-            for word in words:
-                averaged[word] = share
-    marg: dict[tuple, Fraction] = {}
-    cond: dict[tuple, dict[tuple, Fraction]] = {}
-    for word, value in averaged.items():
-        xt, yt, at, bt = _word_to_play(game, word, alphabet)
-        if n == 1:
-            xt, yt, at, bt = xt[0], yt[0], at[0], bt[0]
-        marg[(xt, yt)] = marg.get((xt, yt), ZERO) + value
-        cond.setdefault((xt, yt), {})[(at, bt)] = value
-    table: dict[tuple, dict[tuple, Fraction]] = {}
-    uniform_row = None
-    for xt in repeated.inputs_x:
-        for yt in repeated.inputs_y:
-            if (xt, yt) in cond:
-                total = marg[(xt, yt)]
-                table[(xt, yt)] = {
-                    ab: v / total for ab, v in cond[(xt, yt)].items()
-                }
-            else:
-                if uniform_row is None:
-                    n_out = len(repeated.outputs_a) * len(repeated.outputs_b)
-                    uniform_row = {
-                        (at, bt): Fraction(1, n_out)
-                        for at in repeated.outputs_a
-                        for bt in repeated.outputs_b
-                    }
-                table[(xt, yt)] = uniform_row
-    return Strategy(table)
 
 
 @dataclass(frozen=True)

@@ -302,9 +302,10 @@ def scaled_certainly_ge(lo: int, hi: int, shift: int, value: Rational) -> Option
     return None
 
 
-def escalate_bits(bits: int, cap: int = MAX_BITS) -> Optional[int]:
-    """Next precision to try after an inconclusive comparison, None at the cap."""
-    return bits * 2 if bits * 2 <= cap else None
+def escalate_bits(bits: int) -> Optional[int]:
+    """Next precision to try after an inconclusive comparison, None past
+    MAX_BITS."""
+    return bits * 2 if bits * 2 <= MAX_BITS else None
 
 
 def run_with_escalation(attempt, bits: int):

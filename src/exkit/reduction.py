@@ -69,35 +69,6 @@ def uniform_class_dist(
     return FiniteDistribution(alphabet, n, {w: p for w in members})
 
 
-def pi_value(descriptor: TypeDescriptor, word: Word, n: int) -> Fraction:
-    """Value of the empirical comparison distribution pi_k at one word: the
-    descriptor's ``pi_at`` on the word's type.
-
-    Never-visited states (zero row sums) get a uniform kernel row; class
-    members never traverse such a row, so certified quantities are unaffected.
-    """
-    word = tuple(word)
-    return descriptor.pi_at(descriptor.relation().type_of(word, descriptor.alphabet()))
-
-
-def empirical_pi(
-    descriptor: TypeDescriptor,
-    n: int,
-    cap: int = DEFAULT_ENUM_CAP,
-    alphabet: Optional[Alphabet] = None,
-) -> FiniteDistribution:
-    """Materialized pi_k over V^n (sparse on its support)."""
-    if class_size(descriptor, n) == 0:
-        raise EmptyClass(f"{descriptor} is realized by no word of length {n}")
-    alphabet = alphabet or descriptor.alphabet()
-    entries = {}
-    for word in alphabet.words(n, cap):
-        v = pi_value(descriptor, word, n)
-        if v:
-            entries[word] = v
-    return FiniteDistribution(alphabet, n, entries)
-
-
 def alpha_tight(descriptor: TypeDescriptor, n: int) -> Fraction:
     """Exact max over the class support of Q_k / pi_k (class-constant)."""
     size = class_size(descriptor, n)
@@ -225,20 +196,6 @@ def fidelity_sq_from_pairs(
         lo, hi = sqrt_bounds(r, bits)
         total = total + IntervalScalar(lo, hi, bits) * m
     return total**2
-
-
-def fidelity_squared(
-    p: FiniteDistribution, q: FiniteDistribution, bits: int = DEFAULT_BITS
-) -> IntervalScalar:
-    """F(P,Q)^2 with F(P,Q) = sum_z sqrt(P(z) Q(z))."""
-    p.same_shape(q)
-    products: dict[Fraction, int] = {}
-    for word, pv in p.entries.items():
-        qv = q(word)
-        if qv:
-            r = pv * qv
-            products[r] = products.get(r, 0) + 1
-    return fidelity_sq_from_pairs(list(products.items()), bits)
 
 
 # -- simplex decomposition ---------------------------------------------------------

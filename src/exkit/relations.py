@@ -279,10 +279,6 @@ EXCHANGEABLE = Exchangeable()
 MARKOV = Markov()
 
 
-def min_word_length(relation: Relation) -> int:
-    return relation.min_word_length()
-
-
 # -- type descriptors ----------------------------------------------------------
 
 
@@ -306,6 +302,10 @@ class TypeDescriptor:
     ``support_signature`` is (key, need, cover) with pi_k(c) != 0 exactly
     when key_k == key_c and need_c & ~cover_k == 0: ``pi_table`` reads it to
     call ``pi_ratio`` on those pairs only.
+
+    Descriptors take their tuple fields unchecked: ``type_of`` and the
+    candidate generators build only valid ones, and
+    ``serialize.descriptor_from_json`` checks one read from outside.
     """
 
     def pi_at(self, c: "TypeDescriptor") -> Fraction:
@@ -328,11 +328,6 @@ class TypeDescriptor:
 @dataclass(frozen=True)
 class ExchangeableType(TypeDescriptor):
     counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if any(c < 0 for c in self.counts):
-            raise InconsistentDescriptor("negative letter count")
 
     def relation(self) -> Relation:
         return EXCHANGEABLE
@@ -403,20 +398,6 @@ class LMarkovType(TypeDescriptor):
     ell: int
     start: tuple[int, ...]
     trans: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start", tuple(self.start))
-        trans = tuple(tuple(row) for row in self.trans)
-        object.__setattr__(self, "trans", trans)
-        if self.ell < 1 or len(self.start) != self.ell:
-            raise InconsistentDescriptor("start gram length must equal l")
-        d = len(trans[0]) if trans else 0
-        if len(trans) != d**self.ell or any(len(row) != d for row in trans):
-            raise InconsistentDescriptor("tensor must have d^l rows of width d")
-        if any(x < 0 for row in trans for x in row):
-            raise InconsistentDescriptor("negative transition count")
-        if any(not 0 <= v < d for v in self.start):
-            raise InconsistentDescriptor("start gram letter out of range")
 
     @property
     def d(self) -> int:
@@ -672,10 +653,6 @@ class ProductType(TypeDescriptor):
         return {"kind": "product", "parts": [p.to_json() for p in self.parts]}
 
 
-def sort_key(descriptor: TypeDescriptor):
-    return descriptor.sort_key()
-
-
 def _de_bruijn_tables(
     out: tuple[int, ...], into: list[int], d: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -733,11 +710,6 @@ def type_of(word: Word, relation: Relation, alphabet: Alphabet) -> TypeDescripto
 
 
 # -- nonemptiness and cardinality ----------------------------------------------
-
-
-def is_nonempty(descriptor: TypeDescriptor, n: int) -> bool:
-    """Whether some word of length n realizes the descriptor."""
-    return class_size(descriptor, n) > 0
 
 
 def class_size(descriptor: TypeDescriptor, n: int) -> int:
@@ -843,10 +815,10 @@ def enumerate_types(
     trail are enumerated), and the product of the factors' class counts for
     a Cartesian product.
     """
-    if n < min_word_length(relation):
-        raise WordTooShort(f"relation needs n >= {min_word_length(relation)}")
+    if n < relation.min_word_length():
+        raise WordTooShort(f"relation needs n >= {relation.min_word_length()}")
     d = alphabet.size
-    items = sorted(relation.classes(alphabet, n, cap), key=lambda pair: sort_key(pair[0]))
+    items = sorted(relation.classes(alphabet, n, cap), key=lambda pair: pair[0].sort_key())
     total = sum(s for _, s in items)
     if total != d**n:
         raise InconsistentDescriptor(
@@ -854,12 +826,3 @@ def enumerate_types(
         )
     return ClassIndex(relation, alphabet, n, tuple(items))
 
-
-def brute_force_index(
-    relation: Relation, alphabet: Alphabet, n: int, cap: int = DEFAULT_ENUM_CAP
-) -> dict[TypeDescriptor, list[Word]]:
-    """Oracle: group all d^n words by descriptor (for cross-checking formulas)."""
-    groups: dict[TypeDescriptor, list[Word]] = {}
-    for word in alphabet.words(n, cap):
-        groups.setdefault(type_of(word, relation, alphabet), []).append(word)
-    return groups

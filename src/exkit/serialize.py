@@ -25,7 +25,6 @@ from .conditional import ConditionalCertificate
 from .core import Alphabet, FiniteDistribution, Word, rational_str
 from .errors import ExkitError
 from .games import Game, SequentialKernel, Strategy
-from .graphs import DirectedMultigraph
 from .reduction import ReductionCertificate
 from .relations import (
     Exchangeable,
@@ -86,6 +85,25 @@ def _int_field(obj: dict, name: str, what: str) -> int:
         raise ExkitError(f"{what}'s {name!r} must be an integer, got {value!r}") from None
 
 
+def _counts(obj, what: str) -> tuple[int, ...]:
+    """``obj`` as a tuple when it is a JSON array of nonnegative integers,
+    else an input error naming ``what``."""
+    counts = tuple(_int_array(obj, what))
+    if any(c < 0 for c in counts):
+        raise ExkitError(f"{what} has a negative count: {obj!r}")
+    return counts
+
+
+def _index_pair(key, what: str) -> tuple[int, int]:
+    """A key "i,j" of 1-based indices as 0-based ones, else an input error
+    naming ``what``."""
+    try:
+        i, j = (int(part) - 1 for part in str(key).split(","))
+    except ValueError:
+        raise ExkitError(f"{what} key {key!r} must be two indices \"i,j\"") from None
+    return i, j
+
+
 def word_str(word: Word, alphabet_size: int) -> str:
     if alphabet_size <= 9:
         return "".join(str(letter + 1) for letter in word)
@@ -118,15 +136,17 @@ def distribution_to_json(dist: FiniteDistribution) -> dict:
 
 
 def distribution_from_json(obj: dict) -> FiniteDistribution:
-    _object(obj, "a distribution")
+    what = "a distribution"
+    _object(obj, what)
     factors = obj.get("factors")
     factors = tuple(_int_array(factors, "factors")) if factors else None
-    alphabet = Alphabet(int(obj["d"]), factors)
+    alphabet = Alphabet(_int_field(obj, "d", what), factors)
+    n = _int_field(obj, "n", what)
     entries = {
         parse_word(k, alphabet.size): parse_rational(v)
-        for k, v in _object(obj["entries"], "entries").items()
+        for k, v in _object(_field(obj, "entries", what), "entries").items()
     }
-    return FiniteDistribution(alphabet, int(obj["n"]), entries)
+    return FiniteDistribution(alphabet, n, entries)
 
 
 # -- relations and descriptors ----------------------------------------------------
@@ -156,6 +176,10 @@ def descriptor_to_json(descriptor: TypeDescriptor) -> dict:
 
 
 def descriptor_from_json(obj: dict) -> TypeDescriptor:
+    """The descriptor ``obj`` names, checked here once: the descriptor
+    classes take their fields on trust, as ``type_of`` and the enumeration
+    build only valid ones.  Counts are nonnegative; a Markov-family ``t`` has
+    d^ell rows of d counts, and ``start`` ell letters in 1..d."""
     what = "a type descriptor"
     kind = _field(_object(obj, what), "kind", what)
     if kind == "product":
@@ -165,23 +189,25 @@ def descriptor_from_json(obj: dict) -> TypeDescriptor:
         raise ExkitError(f"unknown descriptor kind {kind!r}")
     t = _array(_field(obj, "t", what), f"{what}'s 't'")
     if kind == "exchangeable":
-        return ExchangeableType(tuple(_int_array(t, f"{what}'s 't'")))
-    rows = tuple(tuple(_int_array(row, f"a row of {what}'s 't'")) for row in t)
+        return ExchangeableType(_counts(t, f"{what}'s 't'"))
+    rows = tuple(_counts(row, f"a row of {what}'s 't'") for row in t)
     if kind == "markov":
-        return MarkovType(_int_field(obj, "start", what) - 1, rows)
-    start = _int_array(_field(obj, "start", what), f"{what}'s 'start'")
-    return LMarkovType(_int_field(obj, "ell", what), tuple(v - 1 for v in start), rows)
-
-
-# -- graphs ------------------------------------------------------------------------
-
-
-def multigraph_to_json(g: DirectedMultigraph) -> dict:
-    return {"m": g.m, "M": [list(row) for row in g.M]}
-
-
-def multigraph_from_json(obj: dict) -> DirectedMultigraph:
-    return DirectedMultigraph(int(obj["m"]), tuple(tuple(row) for row in obj["M"]))
+        ell, start = 1, [_int_field(obj, "start", what)]
+    else:
+        ell = _int_field(obj, "ell", what)
+        if ell < 1:
+            raise ExkitError(f"{what}'s 'ell' must be >= 1, got {ell}")
+        start = _int_array(_field(obj, "start", what), f"{what}'s 'start'")
+        if len(start) != ell:
+            raise ExkitError(f"{what}'s 'start' must have ell = {ell} letters, got {start!r}")
+    d = len(rows[0]) if rows else 0
+    if not d or len(rows) != d**ell or any(len(row) != d for row in rows):
+        raise ExkitError(f"{what}'s 't' must have d^ell rows of d counts, got {t!r}")
+    if any(not 1 <= v <= d for v in start):
+        raise ExkitError(f"{what}'s 'start' has a letter outside 1..{d}: {start!r}")
+    if kind == "markov":
+        return MarkovType(start[0] - 1, rows)
+    return LMarkovType(ell, tuple(v - 1 for v in start), rows)
 
 
 # -- certificates --------------------------------------------------------------------
@@ -269,15 +295,16 @@ def game_to_json(game: Game) -> dict:
 
 
 def game_from_json(obj: dict) -> Game:
-    _object(obj, "a game")
-    nx, ny, na, nb = int(obj["X"]), int(obj["Y"]), int(obj["A"]), int(obj["B"])
-    law = {}
-    for key, value in _object(obj["T"], "T").items():
-        x, y = (int(part) - 1 for part in str(key).split(","))
-        law[(x, y)] = parse_rational(value)
+    what = "a game"
+    _object(obj, what)
+    nx, ny, na, nb = (_int_field(obj, axis, what) for axis in "XYAB")
+    law = {
+        _index_pair(key, "T"): parse_rational(value)
+        for key, value in _object(_field(obj, "T", what), "T").items()
+    }
     predicate = frozenset(
         tuple(v - 1 for v in _int_array(entry, "an entry of V", 4))
-        for entry in _array(obj["V"], "V")
+        for entry in _array(_field(obj, "V", what), "V")
     )
     return Game(
         tuple(range(nx)), tuple(range(ny)), tuple(range(na)), tuple(range(nb)), law, predicate
@@ -296,24 +323,26 @@ def kernel_to_json(kernel: SequentialKernel) -> dict:
 
 
 def kernel_from_json(obj: dict) -> SequentialKernel:
-    rows = {}
-    for prev_key, row in _object(_object(obj, "a kernel")["rows"], "rows").items():
-        px, py = (int(part) - 1 for part in str(prev_key).split(","))
-        rows[(px, py)] = {
-            tuple(int(part) - 1 for part in str(nk).split(",")): parse_rational(v)
+    what = "a kernel"
+    rows = {
+        _index_pair(prev_key, "rows"): {
+            _index_pair(nk, f"row {prev_key}"): parse_rational(v)
             for nk, v in _object(row, f"row {prev_key}").items()
         }
+        for prev_key, row in _object(_field(_object(obj, what), "rows", what), "rows").items()
+    }
     return SequentialKernel(rows)
 
 
 def strategy_from_json(obj: dict) -> Strategy:
-    table = {}
-    for xy_key, row in _object(_object(obj, "a strategy")["slices"], "slices").items():
-        xy = tuple(int(part) - 1 for part in str(xy_key).split(","))
-        table[xy] = {
-            tuple(int(part) - 1 for part in str(ab).split(",")): parse_rational(v)
+    what = "a strategy"
+    table = {
+        _index_pair(xy_key, "slices"): {
+            _index_pair(ab, f"slice {xy_key}"): parse_rational(v)
             for ab, v in _object(row, f"slice {xy_key}").items()
         }
+        for xy_key, row in _object(_field(_object(obj, what), "slices", what), "slices").items()
+    }
     return Strategy(table)
 
 

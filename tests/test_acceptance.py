@@ -22,7 +22,7 @@ from exkit.conditional import (
     markov_marginal_counterexample,
     verify_conditional_reduction,
 )
-from exkit.core import Alphabet, make_distribution, marginal
+from exkit.core import Alphabet, FiniteDistribution, marginal
 from exkit.games import (
     chsh_game,
     classical_value,
@@ -30,24 +30,14 @@ from exkit.games import (
     iid_kernel,
     parallel_game,
     sequential_game,
-    symmetrize_strategy,
     tensor_strategy,
     winning_probability,
-)
-from exkit.graphs import (
-    DirectedMultigraph,
-    arborescence_count,
-    eulerian_trajectory_count_bruteforce,
-    is_eulerian,
-    spanning_in_trees_bruteforce,
-    transition_graph,
 )
 from exkit.mp import beta_bound, lambda_matrix, mp_of_extreme
 from exkit.reduction import (
     alpha_analytic,
     alpha_tight,
     decompose,
-    fidelity_squared,
     stirling_bounds,
     uniform_class_dist,
     verify_flexible_reduction,
@@ -61,12 +51,21 @@ from exkit.relations import (
     Markov,
     ProductRelation,
     best_formula_terms,
-    brute_force_index,
     class_members,
     class_size,
     enumerate_types,
-    min_word_length,
     type_of,
+)
+from oracles import (
+    DirectedMultigraph,
+    arborescence_count,
+    brute_force_index,
+    eulerian_trajectory_count_bruteforce,
+    fidelity_squared,
+    is_eulerian,
+    spanning_in_trees_bruteforce,
+    symmetrize_strategy,
+    transition_graph,
 )
 
 PAPER_WORD = tuple(int(c) - 1 for c in "11323122")
@@ -107,7 +106,7 @@ def random_invariant(alphabet, n, relation, rng):
             share = Fraction(w, total * size)
             for word in class_members(descr, n):
                 entries[word] = entries.get(word, Fraction(0)) + share
-    return make_distribution(alphabet, n, entries)
+    return FiniteDistribution(alphabet, n, entries)
 
 
 def test_criterion_1_worked_example_exactness():
@@ -139,7 +138,7 @@ def test_criterion_2_partition_and_formula_vs_oracle():
     checked_classes = 0
     for name, relation, alphabet, ns in RANGE_FAMILIES:
         for n in ns:
-            if n < min_word_length(relation):
+            if n < relation.min_word_length():
                 continue
             index = enumerate_types(relation, alphabet, n)
             oracle = brute_force_index(relation, alphabet, n)
@@ -182,7 +181,7 @@ def test_criterion_4_analytic_alpha_dominates_tight_ratios():
     failures = []
     for name, relation, alphabet, ns in RANGE_FAMILIES:
         for n in ns:
-            if n < min_word_length(relation):
+            if n < relation.min_word_length():
                 continue
             if isinstance(relation, Markov) and n < 2:
                 continue

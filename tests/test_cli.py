@@ -8,7 +8,7 @@ import pytest
 
 from exkit import cli, games, mp, relations, serialize
 from exkit.cli import main
-from exkit.core import Alphabet, make_distribution, tensor_power, uniform
+from exkit.core import Alphabet, FiniteDistribution, tensor_power, uniform
 from exkit.games import chsh_game, iid_kernel
 from exkit.relations import MARKOV, enumerate_types
 
@@ -91,7 +91,7 @@ def test_size_best_terms_with_an_unvisited_letter(capsys):
     }
 
 def test_certify_tensor_power_exit_zero(tmp_path, capsys):
-    letter = make_distribution(Alphabet(2), 1, {(0,): Fraction(1, 4), (1,): Fraction(3, 4)})
+    letter = FiniteDistribution(Alphabet(2), 1, {(0,): Fraction(1, 4), (1,): Fraction(3, 4)})
     p = tensor_power(letter, 4)
     path = tmp_path / "p.json"
     path.write_text(serialize.dumps(serialize.distribution_to_json(p)))
@@ -101,7 +101,7 @@ def test_certify_tensor_power_exit_zero(tmp_path, capsys):
 
 
 def test_certify_non_exchangeable_witness_on_stderr(tmp_path, capsys):
-    p = make_distribution(Alphabet(2), 2, {(0, 1): Fraction(1)})
+    p = FiniteDistribution(Alphabet(2), 2, {(0, 1): Fraction(1)})
     path = tmp_path / "bad.json"
     path.write_text(serialize.dumps(serialize.distribution_to_json(p)))
     code = main(["certify", str(path), "--relation", "exchangeable"])
@@ -264,6 +264,34 @@ def test_malformed_file_exits_4(argv, content, chsh_file, tmp_path, capsys):
     assert json.loads(captured.err)["error"] == "ExkitError"
 
 
+CHSH_JSON = serialize.game_to_json(chsh_game())
+CERT_WITHOUT = {field: {k: v for k, v in CERT_MARKOV.items() if k != field} for field in ("input", "relation")}
+
+
+@pytest.mark.parametrize("argv, content, detail", [
+    (["certify", "{file}"], {"d": 2, "entries": {"11": "1"}}, "a distribution has no 'n' field"),
+    (["certify", "{file}"], {"n": 2, "entries": {"11": "1"}}, "a distribution has no 'd' field"),
+    (["certify", "{file}"], {"d": 2, "n": "two", "entries": {"11": "1"}},
+     "a distribution's 'n' must be an integer, got 'two'"),
+    (["game", "{file}"], {**CHSH_JSON, "T": {"1": "1"}}, 'T key \'1\' must be two indices "i,j"'),
+    (["game", "{file}"], {k: v for k, v in CHSH_JSON.items() if k != "V"}, "a game has no 'V' field"),
+    (["game", "{chsh}", "--mode", "sequential", "--kernel", "{file}"], {"row": {}},
+     "a kernel has no 'rows' field"),
+    (["game", "{chsh}", "--strategy", "{file}"], {"slices": {"1,1,1": {}}},
+     'slices key \'1,1,1\' must be two indices "i,j"'),
+    (["game", "{chsh}", "--strategy", "{file}"], {}, "a strategy has no 'slices' field"),
+    (["certify", "{file}", "--verify"], CERT_WITHOUT["input"], "a certificate has no 'input' field"),
+    (["certify", "{file}", "--verify"], CERT_WITHOUT["relation"], "a certificate has no 'relation' field"),
+])
+def test_malformed_file_names_the_field(argv, content, detail, chsh_file, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code = main([a.format(file=path, chsh=chsh_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert json.loads(captured.err) == {"error": "ExkitError", "detail": detail}
+
+
 def test_deterministic_output(capsys):
     _, out1 = run(capsys, "classes", "--relation", "markov", "--d", "2", "--n", "4")
     _, out2 = run(capsys, "classes", "--relation", "markov", "--d", "2", "--n", "4")
@@ -286,10 +314,22 @@ def test_precision_bits_flag_minimum(capsys):
     assert main(argv + ["--precision-bits", "256"]) == 0
 
 
+def test_precision_bits_flag_maximum(capsys):
+    # A run starts at no more than MAX_BITS, where escalation stops.
+    argv = ["alpha", "--relation", "exchangeable", "--d", "2", "--n", "3"]
+    assert main(argv + ["--precision-bits", "1024"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--precision-bits", "1025"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["detail"] == "precision must be <= 1024 bits"
+
+
 @pytest.mark.parametrize("options, detail", [
     ({"bits": 8}, "precision must be >= 64 bits"),
     ({"bits": -8}, "precision must be >= 64 bits"),
     ({"alpha_mode": "bogus"}, "unknown alpha mode 'bogus'"),
+    ({"bits": 2048}, "precision must be <= 1024 bits"),
 ])
 def test_verify_rejects_bad_certificate_options(options, detail, tmp_path, capsys):
     # The certificate's own options are checked as the flags would be.
@@ -574,6 +614,22 @@ def test_mp_type_builds_the_lambda_matrix_once(monkeypatch, capsys):
     code, out = run(capsys, "mp", "--d", "3", "--n", "4", "--type", "2,1,1")
     assert code == 0 and json.loads(out)["cone"]["smaller"] in ("alpha", "beta")
     assert len(calls) == math.comb(4 + 2, 2) ** 2
+
+
+def test_mp_enum_cap_bounds_the_lambda_matrix(monkeypatch, capsys):
+    # C(n+d-1, d-1)^2 entries are checked against the cap before any is built.
+    mp.lambda_matrix.cache_clear()
+    calls = []
+    original = mp._lambda_entry
+    monkeypatch.setattr(mp, "_lambda_entry", lambda *args: calls.append(args) or original(*args))
+    code = main(["mp", "--d", "3", "--n", "20", "--enum-cap", "10"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not calls
+    assert json.loads(captured.err)["error"] == "cap_exceeded"
+    # d = 3, n = 5 has 21 types, so 441 entries.
+    assert main(["mp", "--d", "3", "--n", "5", "--enum-cap", "440"]) == 2
+    assert main(["mp", "--d", "3", "--n", "5", "--enum-cap", "441"]) == 0
+    assert len(calls) == 441
 
 
 @pytest.mark.parametrize("relation, error, detail", [

@@ -9,7 +9,6 @@ from exkit import conditional, reduction, serialize
 from exkit.cli import main
 from exkit.conditional import (
     condition,
-    empirical_alpha_prime,
     lift_conditional,
     marginal_type,
     markov_marginal_counterexample,
@@ -18,8 +17,8 @@ from exkit.conditional import (
 from exkit.core import (
     Alphabet,
     ConditionalDistribution,
+    FiniteDistribution,
     dirac,
-    make_distribution,
     marginal,
     tensor_power,
     uniform,
@@ -35,6 +34,7 @@ from exkit.relations import (
     enumerate_types,
     type_of,
 )
+from oracles import empirical_alpha_prime
 
 JOINT = Alphabet(4, (2, 2))
 
@@ -51,11 +51,11 @@ def random_exchangeable(alphabet, n, rng):
             share = Fraction(w, total * size)
             for word in class_members(descr, n):
                 entries[word] = entries.get(word, Fraction(0)) + share
-    return make_distribution(alphabet, n, entries)
+    return FiniteDistribution(alphabet, n, entries)
 
 
 def test_condition_product_is_input_independent():
-    letter = make_distribution(
+    letter = FiniteDistribution(
         JOINT,
         1,
         {
@@ -105,8 +105,8 @@ def test_lift_rejects_non_exchangeable_conditional_with_witness():
         Alphabet(2),
         2,
         {
-            (0, 1): make_distribution(Alphabet(2), 2, {(0, 0): Fraction(1)}),
-            (1, 0): make_distribution(Alphabet(2), 2, {(1, 1): Fraction(1)}),
+            (0, 1): FiniteDistribution(Alphabet(2), 2, {(0, 0): Fraction(1)}),
+            (1, 0): FiniteDistribution(Alphabet(2), 2, {(1, 1): Fraction(1)}),
         },
     )
     with pytest.raises(NotConditionallyExchangeable) as err:
@@ -119,7 +119,7 @@ def test_lift_rejects_table_not_closed_under_x_classes():
         Alphabet(2),
         Alphabet(2),
         2,
-        {(0, 1): make_distribution(Alphabet(2), 2, {(0, 0): Fraction(1)})},
+        {(0, 1): FiniteDistribution(Alphabet(2), 2, {(0, 0): Fraction(1)})},
     )
     with pytest.raises(NotConditionallyExchangeable):
         lift_conditional(partial)
@@ -158,7 +158,7 @@ def test_markov_counterexample_report():
 
 
 def test_certificate_holds_for_product_joint():
-    letter = make_distribution(
+    letter = FiniteDistribution(
         JOINT,
         1,
         {
@@ -225,8 +225,8 @@ def test_certificate_rejects_non_invariant_conditional_with_witness():
         Alphabet(2),
         2,
         {
-            (0, 1): make_distribution(Alphabet(2), 2, {(0, 0): Fraction(1)}),
-            (1, 0): make_distribution(Alphabet(2), 2, {(1, 1): Fraction(1)}),
+            (0, 1): FiniteDistribution(Alphabet(2), 2, {(0, 0): Fraction(1)}),
+            (1, 0): FiniteDistribution(Alphabet(2), 2, {(1, 1): Fraction(1)}),
         },
     )
     with pytest.raises(NotConditionallyExchangeable) as err:
@@ -235,7 +235,7 @@ def test_certificate_rejects_non_invariant_conditional_with_witness():
 
 
 def test_certificate_rejects_non_exchangeable():
-    p = make_distribution(JOINT, 2, {(0, 1): Fraction(1)})
+    p = FiniteDistribution(JOINT, 2, {(0, 1): Fraction(1)})
     with pytest.raises(NotExchangeable):
         verify_conditional_reduction(p)
 
@@ -355,7 +355,7 @@ def test_non_invariant_joint_on_a_warm_shape_keeps_its_witness():
     shift = entries[(0, 1, 2)] / 2
     entries[(0, 1, 2)] -= shift
     entries[(2, 1, 0)] += shift
-    bad = make_distribution(JOINT, 3, entries)
+    bad = FiniteDistribution(JOINT, 3, entries)
     with pytest.raises(NotExchangeable) as err:
         verify_conditional_reduction(bad)
     assert err.value.witness == ((0, 1, 2), (0, 2, 1))

@@ -6,28 +6,28 @@ import pytest
 
 from exkit.core import (
     Alphabet,
+    FiniteDistribution,
     dirac,
-    make_distribution,
     marginal,
-    pointwise_dominates,
     project_word,
     tensor_power,
     uniform,
 )
 from exkit.errors import BadWordLength, DimensionMismatch, NotFactored, SumNotOne
 from exkit.intervals import IntervalScalar
+from oracles import pointwise_dominates
 
 HALF = Fraction(1, 2)
 
 
 def test_make_distribution_uniform_case():
-    d = make_distribution(Alphabet(2), 1, {(0,): HALF, (1,): HALF})
+    d = FiniteDistribution(Alphabet(2), 1, {(0,): HALF, (1,): HALF})
     assert d((0,)) == HALF and d((1,)) == HALF
 
 
 def test_make_distribution_sum_not_one():
     with pytest.raises(SumNotOne):
-        make_distribution(Alphabet(2), 1, {(0,): Fraction(1, 3), (1,): Fraction(1, 3)})
+        FiniteDistribution(Alphabet(2), 1, {(0,): Fraction(1, 3), (1,): Fraction(1, 3)})
 
 
 def test_make_distribution_full_uniform_count():
@@ -38,13 +38,13 @@ def test_make_distribution_full_uniform_count():
 
 def test_bad_word_length_and_letters():
     with pytest.raises(BadWordLength):
-        make_distribution(Alphabet(2), 2, {(0,): Fraction(1)})
+        FiniteDistribution(Alphabet(2), 2, {(0,): Fraction(1)})
     with pytest.raises(BadWordLength):
-        make_distribution(Alphabet(2), 1, {(5,): Fraction(1)})
+        FiniteDistribution(Alphabet(2), 1, {(5,): Fraction(1)})
 
 
 def test_tensor_power_uniform_and_dirac():
-    u = make_distribution(Alphabet(2), 1, {(0,): HALF, (1,): HALF})
+    u = FiniteDistribution(Alphabet(2), 1, {(0,): HALF, (1,): HALF})
     sq = tensor_power(u, 2)
     assert all(sq(w) == Fraction(1, 4) for w in [(0, 0), (0, 1), (1, 0), (1, 1)])
     point = dirac(Alphabet(2), (0,))
@@ -52,7 +52,7 @@ def test_tensor_power_uniform_and_dirac():
 
 
 def test_tensor_power_paper_type_evaluation():
-    d = make_distribution(
+    d = FiniteDistribution(
         Alphabet(3), 1, {(0,): Fraction(3, 8), (1,): Fraction(3, 8), (2,): Fraction(2, 8)}
     )
     p = tensor_power(d, 8)
@@ -62,7 +62,7 @@ def test_tensor_power_paper_type_evaluation():
 
 def test_marginal_of_per_letter_product_recovers_factor():
     joint = Alphabet(4, (2, 2))
-    letter = make_distribution(
+    letter = FiniteDistribution(
         joint,
         1,
         {
@@ -74,7 +74,7 @@ def test_marginal_of_per_letter_product_recovers_factor():
     p = tensor_power(letter, 3)
     m = marginal(p, 1)
     expect = tensor_power(
-        make_distribution(Alphabet(2), 1, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)}), 3
+        FiniteDistribution(Alphabet(2), 1, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)}), 3
     )
     assert m.entries == expect.entries
 
@@ -98,7 +98,7 @@ def test_marginal_requires_factored():
 
 
 def test_pointwise_dominates_examples():
-    u = make_distribution(Alphabet(2), 1, {(0,): HALF, (1,): HALF})
+    u = FiniteDistribution(Alphabet(2), 1, {(0,): HALF, (1,): HALF})
     point = dirac(Alphabet(2), (0,))
     assert pointwise_dominates(IntervalScalar.exact(1), u, u).holds
     v = pointwise_dominates(IntervalScalar.exact(1), u, point)
@@ -151,4 +151,4 @@ def test_project_word_reads_the_unpacked_factor(factors):
 
 def test_zero_length_words_rejected():
     with pytest.raises(BadWordLength):
-        make_distribution(Alphabet(2), 0, {(): Fraction(1)})
+        FiniteDistribution(Alphabet(2), 0, {(): Fraction(1)})

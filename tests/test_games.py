@@ -18,11 +18,11 @@ from exkit.games import (
     joint_weight,
     parallel_game,
     sequential_game,
-    symmetrize_strategy,
     tensor_strategy,
     winning_probability,
 )
 from exkit.relations import EXCHANGEABLE, MARKOV
+from oracles import symmetrize_strategy
 
 CHSH = chsh_game()
 

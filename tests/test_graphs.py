@@ -3,17 +3,18 @@ import random
 import pytest
 
 from exkit.core import Alphabet
-from exkit.errors import CapExceeded, NoValidEnd
-from exkit.graphs import (
+from exkit.errors import CapExceeded
+from exkit.graphs import trajectory_count
+from exkit.relations import MARKOV, LMarkov, MarkovType, enumerate_types, representative, type_of
+from oracles import (
     DirectedMultigraph,
+    NoValidEnd,
     arborescence_count,
     eulerian_trajectory_count_bruteforce,
     is_eulerian,
     spanning_in_trees_bruteforce,
     transition_graph,
-    trajectory_count,
 )
-from exkit.relations import MARKOV, LMarkov, MarkovType, enumerate_types, representative, type_of
 
 # Class graph of the worked 8-letter example and its Eulerian augmentation.
 PAPER_G = DirectedMultigraph(3, ((1, 1, 1), (0, 1, 1), (1, 1, 0)))

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from exkit.core import pointwise_dominates
 from exkit.errors import BadParams
 from exkit.intervals import IntervalScalar
 from exkit.mp import beta_bound, cone_constants, dirichlet_moment, lambda_matrix, mp_of_extreme
-from exkit.reduction import fidelity_squared, uniform_class_dist
+from exkit.reduction import uniform_class_dist
 from exkit.relations import ExchangeableType, compositions
+from oracles import fidelity_squared, pointwise_dominates
 
 
 def test_dirichlet_moment_examples():

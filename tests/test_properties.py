@@ -5,23 +5,25 @@ l-Markov(3) and exchangeable x Markov with small alphabets and word lengths,
 so that every d^n word can be grouped by its descriptor as an oracle.
 """
 
+import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath
 from hypothesis import given, settings, strategies as st
 
 from exkit import serialize
+from exkit.cli import main
 from exkit.conditional import X_FACTOR, class_marginal, marginal_type
 from exkit.core import Alphabet, FiniteDistribution, marginal
-from exkit.graphs import transition_graph
 from exkit.intervals import IntervalScalar, run_with_escalation
 from exkit.reduction import (
     Decomposition,
     alpha_analytic,
     decompose,
     fidelity_sq_from_pairs,
-    pi_value,
     triage,
     verify_flexible_reduction,
 )
@@ -32,13 +34,13 @@ from exkit.relations import (
     LMarkov,
     ProductRelation,
     ProductType,
-    brute_force_index,
     class_members,
     class_size,
     enumerate_types,
     representative,
     type_of,
 )
+from oracles import brute_force_index, pi_value, transition_graph
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -91,6 +93,25 @@ def test_json_round_trips(case):
         obj = serialize.descriptor_to_json(descr)
         assert serialize.descriptor_from_json(obj) == descr
         assert serialize.descriptor_to_json(serialize.descriptor_from_json(obj)) == obj
+
+
+@PROPERTY_SETTINGS
+@given(relation_cases(), st.data())
+def test_remix_inverts_decompose(case, data):
+    relation, alphabet, n = case
+    index = enumerate_types(relation, alphabet, n)
+    weights = data.draw(st.lists(st.integers(0, 9), min_size=index.N, max_size=index.N))
+    if not any(weights):
+        weights[-1] = 1
+    entries = {}
+    for (descr, size), w in zip(index.items, weights):
+        for word in class_members(descr, n):
+            if w:
+                entries[word] = Fraction(w, sum(weights) * size)
+    p = FiniteDistribution(alphabet, n, entries)
+    decomp = decompose(p, relation)
+    assert decomp.weights == tuple(Fraction(w, sum(weights)) for w in weights)
+    assert decomp.remix() == p
 
 
 @st.composite
@@ -300,3 +321,37 @@ def test_sparse_pi_rows_are_the_nonzero_dense_entries(decomp):
     for k, row in zip(descriptors, decomp.pi_rows):
         dense = [k.pi_ratio(descriptors[c]) for c in decomp.support]
         assert row == [(j, num, den) for j, (num, den) in enumerate(dense) if num]
+
+
+def relation_flags(relation) -> list[str]:
+    """The ``exkit certify`` flags that name ``relation``."""
+    def token(obj):
+        return f"lmarkov:{obj['ell']}" if obj["kind"] == "lmarkov" else obj["kind"]
+
+    obj = serialize.relation_to_json(relation)
+    if obj["kind"] == "product":
+        return ["--relation", "product", "--product", ",".join(map(token, obj["parts"]))]
+    return ["--relation", obj["kind"]] + (["--ell", str(obj["ell"])] if "ell" in obj else [])
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(invariant_distributions(), st.sampled_from(["analytic", "tight"]))
+def test_verify_is_idempotent(case, alpha_mode):
+    # A verified certificate re-emits to the same bytes from its own input
+    # and options, and the re-emitted one verifies again.
+    relation, p = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "p.json").write_text(serialize.dumps(serialize.distribution_to_json(p)))
+        flags = relation_flags(relation) + ["--alpha-mode", alpha_mode]
+        assert main(["certify", str(tmp / "p.json"), *flags, "--output", str(tmp / "cert.json")]) == 0
+        cert = (tmp / "cert.json").read_text()
+        (tmp / "input.json").write_text(json.dumps(json.loads(cert)["input"]))
+        again = ["certify", str(tmp / "input.json"), *flags, "--output", str(tmp / "again.json")]
+        assert main(again) == 0
+        assert (tmp / "again.json").read_text() == cert
+        for name in ("cert.json", "again.json"):
+            verify = ["certify", str(tmp / name), "--verify", "--output", str(tmp / "verified.json")]
+            assert main(verify) == 0
+            assert json.loads((tmp / "verified.json").read_text()) == {"verified": True, "verdict": "holds"}
+

@@ -7,7 +7,7 @@ import pytest
 
 import exkit.reduction as reduction
 from exkit import serialize
-from exkit.core import Alphabet, dirac, make_distribution, rational_str, tensor_power, uniform
+from exkit.core import Alphabet, FiniteDistribution, dirac, rational_str, tensor_power, uniform
 from exkit.errors import BadParams, EmptyClass, NotExchangeable, WordTooShort
 from exkit.intervals import IntervalScalar
 from exkit.reduction import (
@@ -17,9 +17,6 @@ from exkit.reduction import (
     alpha_analytic,
     alpha_tight,
     decompose,
-    empirical_pi,
-    fidelity_squared,
-    pi_value,
     stirling_bounds,
     uniform_class_dist,
     verify_flexible_reduction,
@@ -39,6 +36,7 @@ from exkit.relations import (
     enumerate_types,
     type_of,
 )
+from oracles import empirical_pi, fidelity_squared, pi_value
 
 A2, A3 = Alphabet(2), Alphabet(3)
 PAPER_WORD = tuple(int(c) - 1 for c in "11323122")
@@ -59,7 +57,7 @@ def random_invariant(alphabet, n, relation, rng):
             share = Fraction(w, total * size)
             for word in class_members(descr, n):
                 entries[word] = entries.get(word, Fraction(0)) + share
-    return make_distribution(alphabet, n, entries)
+    return FiniteDistribution(alphabet, n, entries)
 
 
 def test_uniform_class_dist_examples():
@@ -80,7 +78,7 @@ def test_uniform_class_dist_empty_raises():
 
 def test_empirical_pi_exchangeable_matches_iid():
     pi = empirical_pi(ExchangeableType(PAPER_TYPE_COUNTS), 8)
-    letter = make_distribution(
+    letter = FiniteDistribution(
         A3, 1, {(0,): Fraction(3, 8), (1,): Fraction(3, 8), (2,): Fraction(2, 8)}
     )
     assert pi.entries == tensor_power(letter, 8).entries
@@ -188,12 +186,12 @@ def test_alpha_tight_at_least_one():
 
 
 def test_fidelity_examples():
-    p = make_distribution(
+    p = FiniteDistribution(
         A2,
         2,
         {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 8), (1, 0): Fraction(1, 8), (1, 1): Fraction(1, 4)},
     )
-    q = make_distribution(A2, 2, {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)})
+    q = FiniteDistribution(A2, 2, {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)})
     f = fidelity_squared(p, q)
     assert f.is_point and f.lo == Fraction(1, 4)
     assert fidelity_squared(p, p).lo == 1
@@ -202,8 +200,8 @@ def test_fidelity_examples():
 
 
 def test_fidelity_interval_contains_truth_for_irrational_case():
-    p = make_distribution(A2, 1, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
-    q = make_distribution(A2, 1, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
+    p = FiniteDistribution(A2, 1, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
+    q = FiniteDistribution(A2, 1, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
     f = fidelity_squared(p, q, bits=128)
     # F^2 = (sqrt(1/6) + sqrt(1/3))^2 = 1/2 + 2*sqrt(1/18) = 1/2 + sqrt(2)/3
     truth_lo = Fraction(1, 2) + Fraction("0.47140452079103168") - Fraction(1, 10**15)
@@ -221,7 +219,7 @@ def test_decompose_examples():
     dec_u = decompose(u, EXCHANGEABLE)
     assert dec_u.weights == (Fraction(1, 8), Fraction(3, 8), Fraction(3, 8), Fraction(1, 8))
 
-    p = make_distribution(
+    p = FiniteDistribution(
         A2,
         2,
         {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 8), (1, 0): Fraction(1, 8), (1, 1): Fraction(1, 4)},
@@ -231,7 +229,7 @@ def test_decompose_examples():
 
 
 def test_decompose_rejects_non_invariant():
-    p = make_distribution(A2, 2, {(0, 1): Fraction(1, 3), (1, 0): Fraction(2, 3)})
+    p = FiniteDistribution(A2, 2, {(0, 1): Fraction(1, 3), (1, 0): Fraction(2, 3)})
     with pytest.raises(NotExchangeable) as err:
         decompose(p, EXCHANGEABLE)
     w1, w2 = err.value.witness
@@ -249,7 +247,7 @@ def test_decompose_reconstruction_random():
 
 
 def test_verify_flexible_reduction_tensor_power_holds():
-    letter = make_distribution(A2, 1, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
+    letter = FiniteDistribution(A2, 1, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
     cert = verify_flexible_reduction(tensor_power(letter, 4), EXCHANGEABLE)
     assert cert.verdict == "holds"
     assert cert.prefactor.lo > 0
@@ -287,7 +285,7 @@ def test_maximum_likelihood_empirical_frequencies():
     for counts in ((2, 2), (3, 1), (1, 3)):
         q = uniform_class_dist(ExchangeableType(counts), n)
         best = fidelity_squared(q, tensor_power(
-            make_distribution(A2, 1, {(0,): Fraction(counts[0], n), (1,): Fraction(counts[1], n)}), n
+            FiniteDistribution(A2, 1, {(0,): Fraction(counts[0], n), (1,): Fraction(counts[1], n)}), n
         ))
         for num in range(0, 9):
             sigma0 = Fraction(num, 8)
@@ -296,7 +294,7 @@ def test_maximum_likelihood_empirical_frequencies():
                 letter[(0,)] = sigma0
             if 1 - sigma0:
                 letter[(1,)] = 1 - sigma0
-            trial = fidelity_squared(q, tensor_power(make_distribution(A2, 1, letter), n))
+            trial = fidelity_squared(q, tensor_power(FiniteDistribution(A2, 1, letter), n))
             assert trial.lo <= best.hi + Fraction(1, 2**64)
 
 
@@ -483,7 +481,7 @@ def test_check_exchangeable_types_each_supported_class_once(relation, alphabet, 
     (EXCHANGEABLE, 3, {"001": (1, 4), "011": (1, 8), "101": (3, 8), "100": (1, 4)}, ("001", "010")),
 ])
 def test_not_exchangeable_witness_is_pinned(relation, n, entries, witness):
-    p = make_distribution(A2, n, {_word(w): Fraction(*v) for w, v in entries.items()})
+    p = FiniteDistribution(A2, n, {_word(w): Fraction(*v) for w, v in entries.items()})
     with pytest.raises(NotExchangeable) as err:
         reduction.check_exchangeable(p, relation)
     assert err.value.witness == tuple(map(_word, witness))
@@ -495,7 +493,7 @@ def test_not_exchangeable_witness_is_pinned(relation, n, entries, witness):
 ])
 def test_check_exchangeable_word_too_short_still_wins(relation, alphabet):
     # At n = 2 every word is its own start gram, so every key differs.
-    p = make_distribution(alphabet, 2, {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)})
+    p = FiniteDistribution(alphabet, 2, {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)})
     with pytest.raises(WordTooShort):
         reduction.check_exchangeable(p, relation)
 
@@ -511,7 +509,7 @@ def test_a_class_over_the_cap_still_gets_its_missing_word(relation, alphabet, n)
     index = enumerate_types(relation, alphabet, n)
     descr, size = max(index.items, key=lambda item: item[1])
     kept = class_members(descr, n)[:-1]
-    p = make_distribution(alphabet, n, {w: Fraction(1, len(kept)) for w in kept})
+    p = FiniteDistribution(alphabet, n, {w: Fraction(1, len(kept)) for w in kept})
     with pytest.raises(NotExchangeable) as listed:
         reduction.check_exchangeable(p, relation)
     with pytest.raises(NotExchangeable) as walked:

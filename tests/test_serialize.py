@@ -6,10 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from exkit import serialize
-from exkit.core import Alphabet, make_distribution, uniform
+from exkit.core import Alphabet, FiniteDistribution, uniform
 from exkit.errors import BadParams, ExkitError
 from exkit.games import chsh_game, iid_kernel, classical_value
-from exkit.graphs import DirectedMultigraph
 from exkit.relations import (
     EXCHANGEABLE,
     Exchangeable,
@@ -39,7 +38,7 @@ def test_word_strings_digit_and_comma_forms():
 
 
 def test_distribution_round_trip():
-    p = make_distribution(
+    p = FiniteDistribution(
         Alphabet(2), 2, {(0, 0): Fraction(1, 3), (1, 1): Fraction(2, 3)}
     )
     obj = serialize.distribution_to_json(p)
@@ -78,11 +77,6 @@ def test_descriptor_round_trip():
         assert serialize.descriptor_from_json(obj) == descr
     # external start letters are 1-indexed
     assert serialize.descriptor_to_json(descriptors[1])["start"] == 2
-
-
-def test_multigraph_round_trip():
-    g = DirectedMultigraph(3, ((1, 1, 1), (1, 1, 1), (1, 1, 0)))
-    assert serialize.multigraph_from_json(serialize.multigraph_to_json(g)) == g
 
 
 def test_game_round_trip_preserves_value():
@@ -211,3 +205,24 @@ def test_relation_from_json_rejects_bad_params(obj):
 def test_descriptor_from_json_names_the_bad_field(obj, field):
     with pytest.raises(ExkitError, match=re.escape(field)):
         serialize.descriptor_from_json(obj)
+
+
+# Descriptors are checked once, where they come in from outside.
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"kind": "exchangeable", "t": [2, -1]}, "'t' has a negative count"),
+    ({"kind": "markov", "start": 1, "t": [[1, 0], [0, -1]]}, "'t' has a negative count"),
+    ({"kind": "markov", "start": 1, "t": [[1, 0], [0]]}, "'t' must have d^ell rows"),
+    ({"kind": "markov", "start": 1, "t": [[1, 0], [0, 1], [1, 1]]}, "'t' must have d^ell rows"),
+    ({"kind": "lmarkov", "ell": 2, "start": [1, 1], "t": [[1, 0], [0, 1]]}, "'t' must have d^ell rows"),
+    ({"kind": "markov", "start": 3, "t": [[1, 0], [0, 1]]}, "'start' has a letter outside 1..2"),
+    ({"kind": "markov", "start": 0, "t": [[1, 0], [0, 1]]}, "'start' has a letter outside 1..2"),
+    ({"kind": "lmarkov", "ell": 2, "start": [1], "t": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+     "'start' must have ell = 2 letters"),
+    ({"kind": "lmarkov", "ell": 0, "start": [], "t": [[1, 0]]}, "'ell' must be >= 1"),
+])
+def test_descriptor_from_json_checks_shape_sign_and_start(obj, field):
+    with pytest.raises(ExkitError, match=re.escape(field)):
+        serialize.descriptor_from_json(obj)
+
