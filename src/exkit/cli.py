@@ -318,7 +318,7 @@ def _recheck_certificate(args, cert_obj: dict) -> int:
         )
     given = serialize._field(cert_obj, "input", what)
     dist = serialize.distribution_from_json(given)
-    bits = _checked_bits(int(options.get("bits", DEFAULT_BITS)))
+    bits = _checked_bits(serialize._int_field({"bits": DEFAULT_BITS, **options}, "bits", "options"))
     relation = (
         None
         if options.get("conditional")

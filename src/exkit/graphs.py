@@ -94,15 +94,15 @@ def trajectory_count(descriptor, n: int) -> int:
     closing edge end -> start, cut at that edge: T * prod_v (r~_v - 1)! over
     the visited grams, with T = ``in_tree_count`` and r~ the out-degrees with
     the closing edge, over prod t! as parallel edges are indistinct.  At the
-    end r~ - 1 = t_w, the end's row sum, so this is
-    T * max(t_w, 1) * ``factorial_ratio``.  Returns 0 for descriptors realized
-    by no word: degrees that admit no trail, or a disconnected support.
+    end r~ - 1 = t_w, the end's row sum, so this is T * max(t_w, 1) * num / den
+    with (num, den) = ``descriptor.factorials``.  Returns 0 for descriptors
+    realized by no word: degrees that admit no trail, or a disconnected support.
     """
     descriptor.check_length(n)
     end = descriptor.end
     if end is None:
         return 0
-    num, den = factorial_ratio(descriptor)
+    num, den = descriptor.factorials
     count = in_tree_count(descriptor) * max(descriptor.row_sums[end], 1) * num
     assert count % den == 0, "BEST count not divisible by edge permutations"
     return count // den

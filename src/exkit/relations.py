@@ -155,20 +155,28 @@ class LMarkov(Relation):
         compositions of n - l into d^l parts (r_s >= 1 unless e = s) and the
         in-degrees are r - [v = s] + [v = e]; ``_de_bruijn_tables`` fills the
         tensors with those margins.  The degrees fix e, so no tensor repeats.
+
+        Each descriptor is handed what the generator already knows, in place
+        of its cached ``row_sums`` (= r), ``end`` (= e) and ``factorials``:
+        prod (r_g - 1)! once per r, prod t! as the rows are filled.
         """
         d, ell = alphabet.size, self.ell
         m = d**ell
+        choices: dict = {}  # row choices per (total, caps), for this call only
         for start in itertools.product(range(d), repeat=ell):
             s = gram_rank(start, d)
             for out in compositions(n - ell, m):
+                num = math.prod(math.factorial(r - 1) for r in out if r)
                 for e in range(m):
                     if e != s and not out[s]:
                         continue
                     into = list(out)
                     into[s] -= 1
                     into[e] += 1
-                    for trans in _de_bruijn_tables(out, into, d):
-                        yield self.descriptor(start, trans)
+                    for trans, den in _de_bruijn_tables(out, into, d, choices):
+                        descr = self.descriptor(start, trans)
+                        descr.__dict__.update(row_sums=out, end=e, factorials=(num, den))
+                        yield descr
 
     def alpha_squared(self, n: int, alphabet: Alphabet, bits: int) -> tuple[IntervalScalar, int]:
         """alpha(n)^2 = e^(2K) (x/K)^K * max(1, max_s (x/(2 pi s))^s) with
@@ -392,7 +400,8 @@ class LMarkovType(TypeDescriptor):
 
     Rows of ``trans`` are indexed by the row-major rank of the gram
     (i_1..i_l); columns by the following letter.  Gram g followed by letter z
-    is gram (g d + z) mod d^l, and gram v ends in letter v mod d.
+    is gram (g d + z) mod d^l, and gram v ends in letter v mod d.  The cached
+    ``row_sums``, ``end`` and ``factorials`` are handed in by ``candidates``.
     """
 
     ell: int
@@ -425,6 +434,11 @@ class LMarkovType(TypeDescriptor):
 
     def sort_key(self):
         return (2, self.start, self.trans)
+
+    @cached_property
+    def factorials(self) -> tuple[int, int]:
+        """``graphs.factorial_ratio``: prod (r_g - 1)! and prod t!."""
+        return factorial_ratio(self)
 
     @cached_property
     def end(self) -> int | None:
@@ -654,36 +668,46 @@ class ProductType(TypeDescriptor):
 
 
 def _de_bruijn_tables(
-    out: tuple[int, ...], into: list[int], d: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+    out: tuple[int, ...], into: list[int], d: int, choices: dict
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
     """Every gram -> next-letter count tensor whose row g sums to out[g] and
     whose column v, fed by the cells (g, z) with (g d + z) mod d^l = v, sums
-    to into[v] (the totals of ``out`` and ``into`` agree).
+    to into[v] (the totals of ``out`` and ``into`` agree), with the product
+    of t! over its cells.
 
     Row g fills the consecutive columns g d mod d^l onward, each cell taking
     at most what its column still lacks; as every row is filled exactly, no
-    column ends short, so every table yielded meets both margins.
+    column ends short, so every table yielded meets both margins.  A row's
+    options (row, its prod t!, what its columns then lack) are kept in
+    ``choices`` per (total, caps), which the caller owns.
     """
     m = len(out)
     lack = list(into)
+    rows: list = [()] * m
 
-    def rows_from(g: int):
-        if g == m:
-            yield ()
-            return
+    def rows_from(g: int, den: int):
         base = g * d % m
-        for row in _bounded_compositions(out[g], lack[base : base + d]):
-            for z, x in enumerate(row):
-                lack[base + z] -= x
-            for rest in rows_from(g + 1):
-                yield (row,) + rest
-            for z, x in enumerate(row):
-                lack[base + z] += x
+        key = (out[g], tuple(lack[base : base + d]))
+        options = choices.get(key)
+        if options is None:
+            options = choices[key] = [
+                (row, math.prod(map(math.factorial, row)), [c - x for c, x in zip(key[1], row)])
+                for row in _bounded_compositions(*key)
+            ]
+        for row, f, left in options:
+            rows[g] = row
+            if g == m - 1:
+                yield tuple(rows), den * f
+                continue
+            lack[base : base + d] = left
+            yield from rows_from(g + 1, den * f)
+        lack[base : base + d] = key[1]
 
-    return rows_from(0)
+    yield from rows_from(0, 1)
+    del rows_from  # a recursive closure is a reference cycle; break it
 
 
-def _bounded_compositions(total: int, caps: list[int]) -> Iterator[tuple[int, ...]]:
+def _bounded_compositions(total: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """All tuples x summing to ``total`` with 0 <= x_i <= caps[i]."""
     if total == 0:  # the caps are never negative, so only the zero tuple
         yield (0,) * len(caps)
@@ -736,7 +760,7 @@ def best_formula_terms(descriptor: LMarkovType, n: int) -> dict:
     return {
         "t_w": descriptor.row_sums[end],
         "spanning_trees": in_tree_count(descriptor),
-        "factorial_ratio": Fraction(*factorial_ratio(descriptor)),
+        "factorial_ratio": Fraction(*descriptor.factorials),
         "end_vertex": end,
         "size": size,
     }

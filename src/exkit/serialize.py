@@ -17,6 +17,7 @@ where an object belongs or a rational with a zero denominator.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -140,7 +141,12 @@ def distribution_from_json(obj: dict) -> FiniteDistribution:
     _object(obj, what)
     factors = obj.get("factors")
     factors = tuple(_int_array(factors, "factors")) if factors else None
-    alphabet = Alphabet(_int_field(obj, "d", what), factors)
+    d = _int_field(obj, "d", what)
+    if d < 1:
+        raise ExkitError(f"{what}'s 'd' must be >= 1, got {d}")
+    if factors and (min(factors) < 1 or math.prod(factors) != d):
+        raise ExkitError(f"{what}'s 'factors' must be >= 1 with product {d}, got {list(factors)}")
+    alphabet = Alphabet(d, factors)
     n = _int_field(obj, "n", what)
     entries = {
         parse_word(k, alphabet.size): parse_rational(v)

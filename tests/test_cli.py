@@ -282,6 +282,13 @@ CERT_WITHOUT = {field: {k: v for k, v in CERT_MARKOV.items() if k != field} for 
     (["game", "{chsh}", "--strategy", "{file}"], {}, "a strategy has no 'slices' field"),
     (["certify", "{file}", "--verify"], CERT_WITHOUT["input"], "a certificate has no 'input' field"),
     (["certify", "{file}", "--verify"], CERT_WITHOUT["relation"], "a certificate has no 'relation' field"),
+    (["certify", "{file}"], {"d": 0, "n": 1, "entries": {}}, "a distribution's 'd' must be >= 1, got 0"),
+    (["certify", "{file}"], {"d": 2, "factors": [0, 2], "n": 1, "entries": {}},
+     "a distribution's 'factors' must be >= 1 with product 2, got [0, 2]"),
+    (["certify", "{file}"], {"d": 2, "factors": [-1, -2], "n": 1, "entries": {}},
+     "a distribution's 'factors' must be >= 1 with product 2, got [-1, -2]"),
+    (["certify", "{file}"], {"d": 4, "factors": [2, 3], "n": 1, "entries": {}},
+     "a distribution's 'factors' must be >= 1 with product 4, got [2, 3]"),
 ])
 def test_malformed_file_names_the_field(argv, content, detail, chsh_file, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -330,6 +337,7 @@ def test_precision_bits_flag_maximum(capsys):
     ({"bits": -8}, "precision must be >= 64 bits"),
     ({"alpha_mode": "bogus"}, "unknown alpha mode 'bogus'"),
     ({"bits": 2048}, "precision must be <= 1024 bits"),
+    ({"bits": "x"}, "options's 'bits' must be an integer, got 'x'"),
 ])
 def test_verify_rejects_bad_certificate_options(options, detail, tmp_path, capsys):
     # The certificate's own options are checked as the flags would be.

@@ -32,6 +32,7 @@ from exkit.relations import (
     MARKOV,
     ExchangeableType,
     LMarkov,
+    LMarkovType,
     ProductRelation,
     ProductType,
     class_members,
@@ -132,6 +133,19 @@ def test_candidates_are_distinct_feasible_and_cover_every_class(case):
     for descr in candidates:
         transition_graph(descr, n)  # raises NoValidEnd on unbalanced degrees
     assert set(brute_force_index(relation, alphabet, n)) <= set(candidates)
+
+
+@PROPERTY_SETTINGS
+@given(markov_family_cases())
+def test_candidates_carry_what_the_tensor_alone_gives(case):
+    # The generator hands each tensor its row sums, end gram and factorial
+    # pieces; a descriptor built from the tensor alone works them out itself.
+    relation, alphabet, n = case
+    for descr in relation.candidates(alphabet, n):
+        assert {"row_sums", "end", "factorials"} <= vars(descr).keys()
+        fresh = LMarkovType(descr.ell, descr.start, descr.trans)
+        for name in ("row_sums", "end", "factorials", "size"):
+            assert getattr(descr, name) == getattr(fresh, name), name
 
 
 @PROPERTY_SETTINGS

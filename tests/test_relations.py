@@ -241,6 +241,32 @@ def test_candidates_are_the_flow_feasible_tensors(relation, d, n, count, bound):
     assert relation.candidate_count(alphabet, n) == bound
 
 
+def test_row_memo_holds_no_state_between_calls():
+    # The generator memoizes row choices for one candidates() call only:
+    # interleaved enumerations give what each gave when run first, and no
+    # module-level container or cache of relations or graphs is filled.
+    from exkit import graphs
+
+    cases = [(MARKOV, Alphabet(3), 6), (LMarkov(2), Alphabet(2), 8), (MARKOV, Alphabet(16), 2)]
+
+    def module_state():
+        return {
+            (module.__name__, name): len(v) if isinstance(v, (dict, list, set)) else v.cache_info()
+            for module in (relations, graphs)
+            for name, v in vars(module).items()
+            if not name.startswith("__") and (isinstance(v, (dict, list, set)) or hasattr(v, "cache_info"))
+        }
+
+    before = module_state()
+    first = [enumerate_types(*case).items for case in cases]
+    for i in (2, 0, 1, 0, 2, 1):
+        assert enumerate_types(*cases[i]).items == first[i]
+    for (relation, alphabet, n), items in zip(cases, first):
+        groups = brute_force_index(relation, alphabet, n)
+        assert dict(items) == {descr: len(words) for descr, words in groups.items()}
+    assert module_state() == before
+
+
 def test_cap_bounds_exchangeable_and_product_work():
     # C(6 + 2, 2) = 28 compositions; the product has 5 * 14 classes.
     with pytest.raises(CapExceeded):
