@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from exkit import relations
+from exkit import graphs, relations
 from exkit.core import Alphabet
 from exkit.errors import CapExceeded, EmptyClass, InconsistentDescriptor, WordTooShort
 from exkit.relations import (
@@ -245,8 +245,6 @@ def test_row_memo_holds_no_state_between_calls():
     # The generator memoizes row choices for one candidates() call only:
     # interleaved enumerations give what each gave when run first, and no
     # module-level container or cache of relations or graphs is filled.
-    from exkit import graphs
-
     cases = [(MARKOV, Alphabet(3), 6), (LMarkov(2), Alphabet(2), 8), (MARKOV, Alphabet(16), 2)]
 
     def module_state():
