@@ -113,6 +113,12 @@ class FiniteDistribution:
 
     Entries are exact rationals summing to exactly 1; zero entries are not
     stored.  Instances are immutable and safe to share.
+
+    A ``Fraction`` value is stored as given, the same object, so entries a
+    reader parsed once stay shared; other values are converted.  A word is
+    checked by its length and the min and max of its letters.  The sum is
+    taken exactly with one ``Fraction`` add per distinct denominator: the
+    numerators of each denominator are summed as integers first.
     """
 
     alphabet: Alphabet
@@ -120,19 +126,28 @@ class FiniteDistribution:
     entries: Mapping[Word, Fraction]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n, size = self.n, self.alphabet.size
+        if n < 1:
             raise BadWordLength("n must be >= 1")
         clean: dict[Word, Fraction] = {}
+        numerators: dict[int, int] = {}
         for word, value in self.entries.items():
-            word = tuple(word)
-            self.alphabet.check_word(word, self.n)
-            value = Fraction(value)
-            if value < 0:
+            if type(word) is not tuple:
+                word = tuple(word)
+            if len(word) != n or min(word) < 0 or max(word) >= size:
+                self.alphabet.check_word(word, n)
+            if not isinstance(value, Fraction):
+                value = Fraction(value)
+            num = value.numerator
+            if num < 0:
                 raise SumNotOne(f"negative probability {value} at {word}")
-            if value:
+            if num:
                 clean[word] = value
-        if sum(clean.values(), ZERO) != ONE:
-            raise SumNotOne(f"entries sum to {sum(clean.values(), ZERO)}, expected 1")
+                den = value.denominator
+                numerators[den] = numerators.get(den, 0) + num
+        total = sum((Fraction(num, den) for den, num in numerators.items()), ZERO)
+        if total != ONE:
+            raise SumNotOne(f"entries sum to {total}, expected 1")
         object.__setattr__(self, "entries", clean)
 
     def __call__(self, word: Word) -> Fraction:

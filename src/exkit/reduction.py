@@ -30,7 +30,7 @@ from .core import (
     ZERO,
     ONE,
 )
-from .errors import BadParams, EmptyClass, NotExchangeable
+from .errors import BadParams, CapExceeded, EmptyClass, NotExchangeable, WordTooShort
 from .intervals import (
     DEFAULT_BITS,
     IntervalScalar,
@@ -416,7 +416,10 @@ class Combination:
 
 
 def check_exchangeable(
-    p: FiniteDistribution, relation: Relation, cap: int = DEFAULT_ENUM_CAP
+    p: FiniteDistribution,
+    relation: Relation,
+    cap: int = DEFAULT_ENUM_CAP,
+    index: Optional[ClassIndex] = None,
 ) -> dict[TypeDescriptor, Fraction]:
     """Raise NotExchangeable with a witness pair unless P is constant on
     classes; return P's value on each class of its support.
@@ -424,13 +427,16 @@ def check_exchangeable(
     supp P is grouped by ``relation.word_key``, so each class is typed once,
     from its first word; the classes are checked in order of first
     appearance, each against its first word's value and then its size.
-    Entries are normalized ``Fraction``s, so two are equal exactly when
-    their numerators and denominators are, which is compared directly.  A
-    class P does not fill is missing a word among its first len(words) + 1
-    members, so when it exceeds ``cap`` its members are walked lazily up to
-    there instead of listed."""
+    Entries are normalized ``Fraction``s, so two are equal exactly when they
+    are the same object (a reader shares one per distinct value) or their
+    numerators and denominators are, which is compared directly.  The sizes
+    are read from ``index``, P's ``ClassIndex``, when given, and computed
+    otherwise.  A class P does not fill is missing a word among its first
+    len(words) + 1 members, so when it exceeds ``cap`` its members are
+    walked lazily up to there instead of listed."""
     entries, alphabet, n = p.entries, p.alphabet, p.n
     word_key = relation.word_key
+    sizes = dict(index.items) if index is not None else None
     groups: dict[tuple, list[Word]] = {}
     for word in entries:
         groups.setdefault(word_key(word, alphabet), []).append(word)
@@ -442,12 +448,12 @@ def check_exchangeable(
         num, den = value.numerator, value.denominator
         for w in words[1:]:
             other = entries[w]
-            if other.numerator != num or other.denominator != den:
+            if other is not value and (other.numerator != num or other.denominator != den):
                 raise NotExchangeable(
                     f"P({first}) = {value} but P({w}) = {other} on the same class",
                     witness=(first, w),
                 )
-        size = class_size(descr, n)
+        size = sizes[descr] if sizes is not None else class_size(descr, n)
         if len(words) != size:
             members = class_members(descr, n, cap) if size <= cap else descr.members()
             missing = next(w for w in members if w not in entries)
@@ -463,9 +469,19 @@ def decompose(
     p: FiniteDistribution, relation: Relation, cap: int = DEFAULT_ENUM_CAP
 ) -> Decomposition:
     """Unique simplex weights of P against the extreme class distributions,
-    read off the grouping of supp P that the invariance check builds."""
-    values = check_exchangeable(p, relation, cap)
-    index = enumerate_types(relation, p.alphabet, p.n, cap)
+    read off the grouping of supp P that the invariance check builds.
+
+    The classes are enumerated first and the check reads its sizes from that
+    index, so no class is sized twice.  When the enumeration fails (over
+    ``cap``, or n too short for the relation), P is checked on its own first,
+    so a non-invariant P still gets its witness and the check's own error
+    comes before the enumeration's."""
+    try:
+        index = enumerate_types(relation, p.alphabet, p.n, cap)
+    except (CapExceeded, WordTooShort):
+        check_exchangeable(p, relation, cap)
+        raise
+    values = check_exchangeable(p, relation, cap, index)
     weights = tuple(size * values.get(descr, ZERO) for descr, size in index.items)
     assert sum(weights, ZERO) == ONE
     return Decomposition(index, weights)

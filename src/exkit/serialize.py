@@ -11,7 +11,8 @@ Conventions shared by all formats:
   1-indexed numbers otherwise.
 
 The readers raise ExkitError on input of the wrong shape, such as an array
-where an object belongs or a rational with a zero denominator.
+where an object belongs, a rational with a zero denominator or a word listed
+under two spellings ("12" and "1,2").
 """
 
 from __future__ import annotations
@@ -111,13 +112,22 @@ def word_str(word: Word, alphabet_size: int) -> str:
     return ",".join(str(letter + 1) for letter in word)
 
 
+_DIGIT_LETTERS = {str(v + 1): v for v in range(9)}
+
+
 def parse_word(text: str, alphabet_size: int) -> Word:
+    """The 0-based word a digit or comma-separated string names; a digit
+    string of "1".."9" is read through a table, any other goes through
+    ``int`` so that its error stays ``int``'s."""
     text = str(text)
     if "," in text:
         letters = tuple(int(part) - 1 for part in text.split(","))
     else:
-        letters = tuple(int(ch) - 1 for ch in text)
-    if any(not 0 <= v < alphabet_size for v in letters):
+        try:
+            letters = tuple(map(_DIGIT_LETTERS.__getitem__, text))
+        except KeyError:
+            letters = tuple(int(ch) - 1 for ch in text)
+    if letters and (min(letters) < 0 or max(letters) >= alphabet_size):
         raise ExkitError(f"word {text!r} has letters outside 1..{alphabet_size}")
     return letters
 
@@ -148,10 +158,24 @@ def distribution_from_json(obj: dict) -> FiniteDistribution:
         raise ExkitError(f"{what}'s 'factors' must be >= 1 with product {d}, got {list(factors)}")
     alphabet = Alphabet(d, factors)
     n = _int_field(obj, "n", what)
-    entries = {
-        parse_word(k, alphabet.size): parse_rational(v)
-        for k, v in _object(_field(obj, "entries", what), "entries").items()
-    }
+    listed = _object(_field(obj, "entries", what), "entries")
+    # Each distinct value text is parsed once, so the words of a class share
+    # one Fraction.  Only str values: true, 1 and 1.0 are equal dict keys.
+    parsed: dict[str, Fraction] = {}
+    entries = {}
+    for key, text in listed.items():
+        word = parse_word(key, d)
+        if type(text) is not str:
+            value = parse_rational(text)
+        elif (value := parsed.get(text)) is None:
+            value = parsed[text] = parse_rational(text)
+        entries[word] = value
+    if len(entries) != len(listed):
+        spelled: dict[Word, str] = {}
+        for key in listed:
+            first = spelled.setdefault(parse_word(key, d), key)
+            if first != key:
+                raise ExkitError(f"entries {first!r} and {key!r} name the same word")
     return FiniteDistribution(alphabet, n, entries)
 
 

@@ -10,7 +10,9 @@ explicit counterparts the tests check them against at small n:
 * grouping every d^n word by its descriptor;
 * pi_k, Q_k marginals and fidelities materialized word by word;
 * the symmetrization of a played strategy over the classes;
-* a pointwise comparison p <= c q checked word by word.
+* a pointwise comparison p <= c q checked word by word;
+* the entries ``FiniteDistribution`` keeps, by its word-at-a-time first
+  definition.
 """
 
 from __future__ import annotations
@@ -21,8 +23,15 @@ from fractions import Fraction
 from typing import Optional
 
 from exkit.conditional import X_FACTOR
-from exkit.core import DEFAULT_ENUM_CAP, ZERO, Alphabet, FiniteDistribution, Word, marginal
-from exkit.errors import CapExceeded, DimensionMismatch, EmptyClass, ExkitError
+from exkit.core import DEFAULT_ENUM_CAP, ONE, ZERO, Alphabet, FiniteDistribution, Word, marginal
+from exkit.errors import (
+    BadWordLength,
+    CapExceeded,
+    DimensionMismatch,
+    EmptyClass,
+    ExkitError,
+    SumNotOne,
+)
 from exkit.games import Game, Strategy, _round_alphabet, joint_weight
 from exkit.graphs import _bareiss_det, gram_rank
 from exkit.intervals import DEFAULT_BITS, IntervalScalar
@@ -391,3 +400,27 @@ def pointwise_dominates(
     if inconclusive:
         return INCONCLUSIVE
     return HOLDS
+
+
+# -- distributions -----------------------------------------------------------------
+
+
+def distribution_entries(alphabet: Alphabet, n: int, entries) -> dict[Word, Fraction]:
+    """The entries ``FiniteDistribution(alphabet, n, entries)`` keeps, or its
+    error: each word is checked letter by letter and each value converted
+    with ``Fraction``, and the kept values are summed one ``Fraction`` add
+    at a time."""
+    if n < 1:
+        raise BadWordLength("n must be >= 1")
+    clean: dict[Word, Fraction] = {}
+    for word, value in entries.items():
+        word = tuple(word)
+        alphabet.check_word(word, n)
+        value = Fraction(value)
+        if value < 0:
+            raise SumNotOne(f"negative probability {value} at {word}")
+        if value:
+            clean[word] = value
+    if sum(clean.values(), ZERO) != ONE:
+        raise SumNotOne(f"entries sum to {sum(clean.values(), ZERO)}, expected 1")
+    return clean

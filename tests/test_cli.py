@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import time
@@ -456,17 +457,86 @@ def test_usage_errors_exit_4_and_cap_still_exits_2(joint_file, capsys):
     assert main(["classes", "--relation", "markov", "--d", "5", "--n", "12", "--enum-cap", "10"]) == 2
 
 
-@pytest.mark.parametrize("cap", [[], ["--enum-cap", "5"]])
+@pytest.mark.parametrize("cap", [[], ["--enum-cap", "5"], ["--enum-cap", "4"], ["--enum-cap", "1"]])
 def test_non_invariant_class_over_the_cap_exits_4(cap, capsys):
     # Five of the six words of type (2, 2) at 1/5 each: the class's count
     # proves P is not invariant, so a class larger than the cap still gets
-    # its witness.
+    # its witness.  Below 5 the enumeration's 5 candidates are over the cap
+    # too, and P's check still comes first.
     path = Path(__file__).parent / "data" / "noninvariant_exchangeable_d2_n4.json"
     code = main(["certify", str(path), "--relation", "exchangeable", *cap])
     payload = json.loads(capsys.readouterr().err)
     assert code == 4
     assert payload["error"] == "NotExchangeable"
     assert payload["witness"] == [[0, 0, 1, 1], [1, 1, 0, 0]]
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv, content, code, payload", [
+    # An invariant P passes its check, so the cap's exit 2 stands.
+    (["--relation", "exchangeable", "--enum-cap", "4"],
+     {"d": 2, "n": 4, "entries": {"".join(w): "1/16" for w in itertools.product("12", repeat=4)}},
+     2, {"error": "cap_exceeded", "detail": "5 candidate types exceed enumeration cap 4"}),
+    # Words too short for l-Markov(2): the typing's message, not the enumeration's.
+    (["--relation", "lmarkov", "--ell", "2"],
+     {"d": 2, "n": 2, "entries": {"11": "1/4", "12": "1/4", "21": "1/4", "22": "1/4"}},
+     4, {"error": "WordTooShort", "detail": "l-Markov(2) needs words of length >= 3"}),
+])
+def test_certify_reports_the_enumeration_error_after_checking_p(argv, content, code, payload, tmp_path,
+                                                                capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    assert main(["certify", str(path), *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == payload
+
+
+def test_certify_rejects_a_word_spelled_twice(capsys):
+    # "12" and "1,2" both name the word (0, 1); the listed values sum to 3/2.
+    code = main(["certify", str(DATA / "duplicate_word_d2_n2.json"), "--relation", "exchangeable"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ExkitError", "detail": "entries '12' and '1,2' name the same word"}
+
+
+@pytest.mark.parametrize("content, code, payload", [
+    ({"d": 2, "n": 1, "entries": {"0": "1"}}, 4,
+     {"error": "ExkitError", "detail": "word '0' has letters outside 1..2"}),
+    ({"d": 2, "n": 1, "entries": {"3": "1"}}, 4,
+     {"error": "ExkitError", "detail": "word '3' has letters outside 1..2"}),
+    # int reads the Arabic-Indic one as 1; the superscript two is no digit to it.
+    ({"d": 2, "n": 1, "entries": {"\u0661": "1/2", "2": "1/2"}}, 0, "holds"),
+    ({"d": 2, "n": 1, "entries": {"\u00b2": "1"}}, 4,
+     {"error": "ValueError", "detail": "invalid literal for int() with base 10: '\u00b2'"}),
+    ({"d": 2, "n": 1, "entries": {"": "1"}}, 4,
+     {"error": "BadWordLength", "detail": "word () has length 0, expected 1"}),
+    ({"d": 10, "n": 2, "entries": {"10,10": "1"}}, 0, "holds"),
+    ({"d": 10, "n": 2, "entries": {"10,11": "1"}}, 4,
+     {"error": "ExkitError", "detail": "word '10,11' has letters outside 1..10"}),
+    # Values are shared by their text only: true and [1] after a 1 are still
+    # rejected, and 0.5 or "2/4" after "1/2" still read as 1/2.
+    ({"d": 2, "n": 1, "entries": {"1": 1, "2": True}}, 4,
+     {"error": "ExkitError", "detail": "True is not a rational p/q"}),
+    ({"d": 2, "n": 1, "entries": {"1": "1", "2": True}}, 4,
+     {"error": "ExkitError", "detail": "True is not a rational p/q"}),
+    ({"d": 2, "n": 1, "entries": {"1": 1, "2": [1]}}, 4,
+     {"error": "ExkitError", "detail": "[1] is not a rational p/q"}),
+    ({"d": 2, "n": 1, "entries": {"1": "1/2", "2": 0.5}}, 0, "holds"),
+    ({"d": 2, "n": 1, "entries": {"1": "1/2", "2": "2/4"}}, 0, "holds"),
+])
+def test_certify_reads_words_and_values_as_before(content, code, payload, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    assert main(["certify", str(path), "--relation", "exchangeable"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert json.loads(captured.err) == payload
+    else:
+        assert json.loads(captured.out)["verdict"] == payload
 
 
 # Each subcommand takes exactly the flags it reads; any other is a usage error.

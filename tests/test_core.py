@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from exkit.core import (
     Alphabet,
@@ -15,9 +16,10 @@ from exkit.core import (
 )
 from exkit.errors import BadWordLength, DimensionMismatch, NotFactored, SumNotOne
 from exkit.intervals import IntervalScalar
-from oracles import pointwise_dominates
+from oracles import distribution_entries, pointwise_dominates
 
 HALF = Fraction(1, 2)
+ONE = Fraction(1)
 
 
 def test_make_distribution_uniform_case():
@@ -152,3 +154,57 @@ def test_project_word_reads_the_unpacked_factor(factors):
 def test_zero_length_words_rejected():
     with pytest.raises(BadWordLength):
         FiniteDistribution(Alphabet(2), 0, {(): Fraction(1)})
+
+
+class Letters(tuple):
+    """A word given as a tuple subclass, which a distribution stores as a tuple."""
+
+
+@st.composite
+def distribution_inputs(draw):
+    """(alphabet, n, entries) with Fraction, int and str values, among them
+    negatives, zeros, unreduced and zero-denominator strings, and words of
+    the wrong length or with letters out of range.  Most draws add a word
+    whose value makes the listed values sum to 1."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    valid = st.tuples(*[st.integers(0, d - 1)] * n)
+    word = st.one_of(valid, valid.map(Letters), st.lists(st.integers(-1, d), min_size=1, max_size=n + 1).map(tuple))
+    num = st.integers(-2, 4)
+    value = st.one_of(
+        st.builds(Fraction, num, st.integers(1, 6)),
+        st.integers(-1, 2),
+        st.builds(lambda p, q, k: f"{p * k}/{q * k}", num, st.integers(0, 6), st.integers(1, 3)),
+    )
+    entries = draw(st.dictionaries(word, value, max_size=4))
+    fresh = draw(valid)
+    if draw(st.integers(0, 3)) and fresh not in entries:
+        try:
+            rest = 1 - sum(map(Fraction, entries.values()))
+        except ZeroDivisionError:
+            rest = ONE
+        entries[fresh] = draw(st.sampled_from([rest, f"{3 * rest.numerator}/{3 * rest.denominator}"]))
+    return Alphabet(d), n, entries
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(distribution_inputs())
+@example((Alphabet(2), 2, {(0, 1): Fraction(1, 3), Letters((1, 0)): "2/6", (1, 1): 0, (0, 0): "1/3"}))
+@example((Alphabet(2), 1, {(0,): Fraction(3, 2), (1,): "-1/2"}))
+@example((Alphabet(2), 1, {(0,): Fraction(1, 2), (2,): "1/2"}))
+@example((Alphabet(2), 0, {(): Fraction(1)}))
+def test_distribution_keeps_and_rejects_as_the_word_at_a_time_definition(case):
+    alphabet, n, entries = case
+    try:
+        expected = distribution_entries(alphabet, n, entries)
+    except Exception as err:
+        with pytest.raises(Exception) as got:
+            FiniteDistribution(alphabet, n, entries)
+        assert (type(got.value), str(got.value)) == (type(err), str(err))
+        return
+    dist = FiniteDistribution(alphabet, n, entries)
+    assert dist.entries == expected
+    assert all(type(word) is tuple for word in dist.entries)
+    # A caller's Fraction is kept as the same object.
+    for word, value in entries.items():
+        if isinstance(value, Fraction) and value:
+            assert dist.entries[tuple(word)] is value

@@ -466,6 +466,23 @@ def test_check_exchangeable_types_each_supported_class_once(relation, alphabet, 
     assert [p(w) for w in calls] == list(values.values())
 
 
+@pytest.mark.parametrize("relation, alphabet, n", [
+    (EXCHANGEABLE, Alphabet(4, (2, 2)), 5),
+    (MARKOV, A3, 5),
+    (LMarkov(2), A2, 7),
+    (ProductRelation((EXCHANGEABLE, MARKOV)), Alphabet(4, (2, 2)), 4),
+])
+def test_decompose_reads_class_sizes_from_its_index(relation, alphabet, n, monkeypatch):
+    p = random_invariant(alphabet, n, relation, random.Random(5))
+    expected = decompose(p, relation)
+
+    def unsized(descriptor, n):
+        raise AssertionError(f"{descriptor} sized again")
+
+    monkeypatch.setattr(reduction, "class_size", unsized)
+    assert decompose(p, relation) == expected
+
+
 # Expected witnesses generated by the word-by-word check this one replaced.
 @pytest.mark.parametrize("relation, n, entries, witness", [
     # Both classes of length 3 hold two values; the second class's
@@ -482,9 +499,11 @@ def test_check_exchangeable_types_each_supported_class_once(relation, alphabet, 
 ])
 def test_not_exchangeable_witness_is_pinned(relation, n, entries, witness):
     p = FiniteDistribution(A2, n, {_word(w): Fraction(*v) for w, v in entries.items()})
-    with pytest.raises(NotExchangeable) as err:
-        reduction.check_exchangeable(p, relation)
-    assert err.value.witness == tuple(map(_word, witness))
+    # decompose checks with the sizes of its index, and reports the same pair.
+    for check in (reduction.check_exchangeable, decompose):
+        with pytest.raises(NotExchangeable) as err:
+            check(p, relation)
+        assert err.value.witness == tuple(map(_word, witness))
 
 
 @pytest.mark.parametrize("relation, alphabet", [
@@ -496,6 +515,9 @@ def test_check_exchangeable_word_too_short_still_wins(relation, alphabet):
     p = FiniteDistribution(alphabet, 2, {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)})
     with pytest.raises(WordTooShort):
         reduction.check_exchangeable(p, relation)
+    # decompose reports the typing's error, not the enumeration's.
+    with pytest.raises(WordTooShort, match=r"^l-Markov\(2\) needs words of length >= 3$"):
+        decompose(p, relation)
 
 
 @pytest.mark.parametrize("relation, alphabet, n", [

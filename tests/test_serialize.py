@@ -165,6 +165,14 @@ def test_dumps_raises_the_stdlibs_type_error(value):
     assert str(ours.value) == str(stdlib.value)
 
 
+def test_distribution_from_json_shares_one_fraction_per_value_text():
+    dist = serialize.distribution_from_json(
+        {"d": 2, "n": 2, "entries": {"11": "1/4", "12": "1/4", "21": "1/4", "22": "2/8"}}
+    )
+    assert dist.entries[(0, 0)] is dist.entries[(0, 1)] is dist.entries[(1, 0)]
+    assert dist.entries[(1, 1)] == Fraction(1, 4)
+
+
 # The readers name the field that is missing or malformed.
 
 
