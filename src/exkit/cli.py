@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -107,13 +108,18 @@ def _relation_from_args(args) -> Relation:
 
 def _alphabet_from_args(args) -> Alphabet:
     if args.factors:
-        factors = tuple(int(f) for f in args.factors.split(","))
+        parts = args.factors.split(",")
+        if not all(f.strip().isdecimal() and int(f) >= 1 for f in parts):
+            raise ExkitError(f"--factors must be comma-separated integers >= 1, got {args.factors!r}")
+        factors = tuple(map(int, parts))
         size = math.prod(factors)
         if args.d is not None and args.d != size:
             raise ExkitError("--d disagrees with the product of --factors")
         return Alphabet(size, factors)
     if args.d is None:
         raise ExkitError("--d (or --factors) is required")
+    if args.d < 1:
+        raise ExkitError(f"--d must be >= 1, got {args.d}")
     return Alphabet(args.d)
 
 
@@ -271,9 +277,7 @@ def _certificate(dist, relation, bits: int, cap: int, alpha_mode: str):
         cert = verify_conditional_reduction(dist, bits, cap)
         return cert, serialize.conditional_certificate_to_json(cert)
     cert = verify_flexible_reduction(dist, relation, bits, cap=cap, alpha_mode=alpha_mode)
-    payload = serialize.reduction_certificate_to_json(cert)
-    payload["relation"] = serialize.relation_to_json(relation)
-    return cert, payload
+    return cert, serialize.reduction_certificate_to_json(cert)
 
 
 def cmd_certify(args) -> int:
@@ -411,6 +415,17 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
+def _check_pair_table(table: dict, sizes: tuple, field: str, row: str) -> None:
+    """Exit 4 naming a key of a kernel's rows or a strategy's slices, or of
+    one of its rows, outside ``sizes``: the game's X, Y and then X, Y for a
+    kernel's next pair or A, B for a strategy's outputs."""
+    for (x, y), cells in table.items():
+        key = f"{x + 1},{y + 1}"
+        serialize._within((x, y), sizes[:2], f"{field} key", key)
+        for i, j in cells:
+            serialize._within((i, j), sizes[2:], f"{row} {key} key", f"{i + 1},{j + 1}")
+
+
 def cmd_game(args) -> int:
     if args.kernel is not None and args.mode == "parallel":
         raise ExkitError("--kernel conflicts with --mode parallel")
@@ -426,12 +441,17 @@ def cmd_game(args) -> int:
         if args.kernel:
             with open(args.kernel) as fh:
                 kernel = serialize.kernel_from_json(json.load(fh))
+            _check_pair_table(kernel.rows, tuple(map(len, game.axes[:2])) * 2, "rows", "row")
         else:
             kernel = iid_kernel(game)
 
     if args.strategy:
         with open(args.strategy) as fh:
             base = serialize.strategy_from_json(json.load(fh))
+        _check_pair_table(base.table, tuple(map(len, game.axes)), "slices", "slice")
+        for x, y in itertools.product(game.inputs_x, game.inputs_y):
+            if (x, y) not in base.table:
+                raise ExkitError(f"a strategy has no slice for input pair '{x + 1},{y + 1}'")
     else:
         base = witness
     # A tensor power's joint weight is already constant on the classes.

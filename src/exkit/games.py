@@ -52,6 +52,18 @@ class Game:
         return (x, y, a, b) in self.predicate
 
 
+def _distribution_rows(table: Mapping, what: str) -> dict:
+    """``table``'s rows with Fraction values and no zeros; BadParams naming
+    ``what`` and the row's key at a row that is not a distribution."""
+    clean = {}
+    for key, row in table.items():
+        row = {k: Fraction(v) for k, v in row.items() if Fraction(v)}
+        if sum(row.values(), ZERO) != ONE or any(v < 0 for v in row.values()):
+            raise BadParams(f"{what} at {key} is not a distribution")
+        clean[key] = row
+    return clean
+
+
 @dataclass(frozen=True)
 class Strategy:
     """Conditional law P(a, b | x, y): one output distribution per input pair."""
@@ -59,16 +71,7 @@ class Strategy:
     table: Mapping[tuple, Mapping[tuple, Fraction]]
 
     def __post_init__(self) -> None:
-        clean = {}
-        for xy, row in self.table.items():
-            row = {ab: Fraction(v) for ab, v in row.items() if Fraction(v)}
-            if sum(row.values(), ZERO) != ONE or any(v < 0 for v in row.values()):
-                raise BadParams(f"strategy slice at {xy} is not a distribution")
-            clean[xy] = row
-        object.__setattr__(self, "table", clean)
-
-    def prob(self, a, b, x, y) -> Fraction:
-        return self.table[(x, y)].get((a, b), ZERO)
+        object.__setattr__(self, "table", _distribution_rows(self.table, "strategy slice"))
 
 
 def deterministic_strategy(game: Game, f: Mapping, g: Mapping) -> Strategy:
@@ -138,38 +141,6 @@ def _check_repeated_size(game: Game, n: int, cap: int) -> None:
         raise CapExceeded("repeated game exceeds enumeration cap")
 
 
-def parallel_game(game: Game, n: int, cap: int = DEFAULT_ENUM_CAP) -> Game:
-    """n parallel rounds: i.i.d. inputs, win iff every round's predicate holds."""
-    if n < 1:
-        raise BadParams("n must be >= 1")
-    if n == 1:
-        return game
-    _check_repeated_size(game, n, cap)
-    xs = tuple(itertools.product(game.inputs_x, repeat=n))
-    ys = tuple(itertools.product(game.inputs_y, repeat=n))
-    as_ = tuple(itertools.product(game.outputs_a, repeat=n))
-    bs = tuple(itertools.product(game.outputs_b, repeat=n))
-    law = {}
-    for xt in xs:
-        for yt in ys:
-            value = ONE
-            for x, y in zip(xt, yt):
-                value *= game.law(x, y)
-                if not value:
-                    break
-            if value:
-                law[(xt, yt)] = value
-    predicate = frozenset(
-        (xt, yt, at, bt)
-        for xt in xs
-        for yt in ys
-        for at in as_
-        for bt in bs
-        if all(game.wins(x, y, a, b) for x, y, a, b in zip(xt, yt, at, bt))
-    )
-    return Game(xs, ys, as_, bs, law, predicate)
-
-
 @dataclass(frozen=True)
 class SequentialKernel:
     """Transition kernel on input pairs; rows over the next pair sum to 1.
@@ -182,13 +153,7 @@ class SequentialKernel:
     rows: Mapping[tuple, Mapping[tuple, Fraction]]
 
     def __post_init__(self) -> None:
-        clean = {}
-        for prev, row in self.rows.items():
-            row = {nxt: Fraction(v) for nxt, v in row.items() if Fraction(v)}
-            if sum(row.values(), ZERO) != ONE or any(v < 0 for v in row.values()):
-                raise BadParams(f"kernel row at {prev} is not a distribution")
-            clean[prev] = row
-        object.__setattr__(self, "rows", clean)
+        object.__setattr__(self, "rows", _distribution_rows(self.rows, "kernel row"))
 
     def prob(self, prev: tuple, nxt: tuple) -> Fraction:
         return self.rows.get(prev, {}).get(nxt, ZERO)
@@ -204,28 +169,26 @@ class SequentialKernel:
 
 
 def iid_kernel(game: Game) -> SequentialKernel:
-    pairs = [
-        (x, y) for x in game.inputs_x for y in game.inputs_y if game.law(x, y)
-    ]
-    return SequentialKernel(
-        {prev: {nxt: game.law(*nxt) for nxt in pairs} for prev in pairs}
-    )
+    """Every supported input pair moves to the next by T itself."""
+    law = {xy: t for xy, t in game.input_law.items() if t}
+    return SequentialKernel({prev: law for prev in law})
 
 
 def sequential_game(
     game: Game, kernel: SequentialKernel, n: int, cap: int = DEFAULT_ENUM_CAP
 ) -> Game:
     """n sequential rounds: first input pair from T, later pairs from the
-    kernel; the win predicate is the same AND over rounds as in parallel."""
+    kernel; win iff every round's predicate holds."""
     if n < 1:
         raise BadParams("n must be >= 1")
     kernel.check_stationary(game)
     if n == 1:
         return game
-    base = parallel_game(game, n, cap)
+    _check_repeated_size(game, n, cap)
+    xs, ys, as_, bs = (tuple(itertools.product(axis, repeat=n)) for axis in game.axes)
     law = {}
-    for xt in base.inputs_x:
-        for yt in base.inputs_y:
+    for xt in xs:
+        for yt in ys:
             pairs = list(zip(xt, yt))
             value = game.law(*pairs[0])
             for prev, nxt in zip(pairs, pairs[1:]):
@@ -234,9 +197,20 @@ def sequential_game(
                 value *= kernel.prob(prev, nxt)
             if value:
                 law[(xt, yt)] = value
-    return Game(
-        base.inputs_x, base.inputs_y, base.outputs_a, base.outputs_b, law, base.predicate
+    predicate = frozenset(
+        (xt, yt, at, bt)
+        for xt in xs
+        for yt in ys
+        for at in as_
+        for bt in bs
+        if all(game.wins(x, y, a, b) for x, y, a, b in zip(xt, yt, at, bt))
     )
+    return Game(xs, ys, as_, bs, law, predicate)
+
+
+def parallel_game(game: Game, n: int, cap: int = DEFAULT_ENUM_CAP) -> Game:
+    """n parallel rounds: i.i.d. inputs, the sequential game under ``iid_kernel``."""
+    return sequential_game(game, iid_kernel(game), n, cap)
 
 
 # -- bridging to the reduction machinery -------------------------------------------

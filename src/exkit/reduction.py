@@ -86,9 +86,6 @@ class AlphaBound:
     """Interval enclosure of the variant's analytic alpha(n), with the degree
     of the full polynomial pre-factor N * alpha(n)^2."""
 
-    relation: Relation
-    n: int
-    d: int
     value: IntervalScalar
     squared: IntervalScalar
     degree: int
@@ -103,7 +100,14 @@ def alpha_analytic(
     and 1/(2*pi) (for the Markov family, a max over such terms, enclosed by
     the max of the endpoints); the square root is the only extra step.
 
-    Exchangeable: alpha(n)^2 = e^(2d) n^(d-1) / (d^d 2 pi), the paper's form.
+    Exchangeable: alpha(n)^2 = e^(2K) (n/K)^K / (2 pi n) with K = min(d, n).
+    The class of counts t has ratio Q_k/pi_k = n^n prod t! / (n! prod t^t).
+    By Stirling (below) for t! and n!, with e^-n and e^n cancelling, its
+    square is at most e^(2k) prod_{t>0} t / (2 pi n) for k nonzero counts;
+    by AM-GM prod t <= (n/k)^k, and k -> e^(2k) (n/k)^k increases up to
+    k = K.  For n >= d this is the paper's e^(2d) n^(d-1) / (d^d 2 pi), which
+    below undershoots: at d = 10, n = 2 the class of (1, 10) has ratio 2 and
+    the paper's alpha is below 1.99.
 
     Markov family (Markov is the l = 1 case), for every n >= l + 1.  Write
     m = d^l for the number of states (l-grams), x = n - l for the number of
@@ -152,7 +156,7 @@ def alpha_analytic(
     if isinstance(alphabet, int):
         alphabet = Alphabet(alphabet)
     squared, degree = relation.alpha_squared(n, alphabet, bits)
-    return AlphaBound(relation, n, alphabet.size, squared.sqrt(bits), squared, degree)
+    return AlphaBound(squared.sqrt(bits), squared, degree)
 
 
 # -- fidelity ---------------------------------------------------------------------

@@ -92,12 +92,14 @@ class Exchangeable(Relation):
         return map(ExchangeableType, compositions(n, alphabet.size))
 
     def alpha_squared(self, n: int, alphabet: Alphabet, bits: int) -> tuple[IntervalScalar, int]:
-        """alpha(n)^2 = e^(2d) n^(d-1) / (d^d 2 pi) and the degree 2(d-1)."""
+        """alpha(n)^2 = e^(2K) (n/K)^K / (2 pi n) with K = min(d, n), and the
+        degree 2(d-1); the proof is in ``reduction.alpha_analytic``."""
         if n < 1:
             raise BadParams("n must be >= 1")
         d = alphabet.size
+        k = min(d, n)
         e2 = IntervalScalar.euler_e(bits) ** 2
-        sq = (e2**d) * Fraction(n ** (d - 1), d**d) / IntervalScalar.two_pi(bits)
+        sq = (e2**k) * Fraction(n**k, k**k * n) / IntervalScalar.two_pi(bits)
         return sq, 2 * (d - 1)
 
     def to_json(self) -> dict:
@@ -801,12 +803,7 @@ def representative(descriptor: TypeDescriptor, n: int) -> Word:
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    return _bounded_compositions(total, (total,) * parts)
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,14 @@ def _index_pair(key, what: str) -> tuple[int, int]:
     return i, j
 
 
+def _within(indices: tuple, sizes: tuple, what: str, key) -> tuple:
+    """0-based ``indices`` when each lies below its size, else an input
+    error naming ``what`` and the ``key`` they were read from."""
+    if not all(0 <= i < size for i, size in zip(indices, sizes)):
+        raise ExkitError(f"{what} {key!r} is outside {' x '.join(f'1..{s}' for s in sizes)}")
+    return indices
+
+
 def word_str(word: Word, alphabet_size: int) -> str:
     if alphabet_size <= 9:
         return "".join(str(letter + 1) for letter in word)
@@ -302,15 +310,9 @@ def conditional_certificate_to_json(cert: ConditionalCertificate) -> dict:
 
 
 def game_to_json(game: Game) -> dict:
-    xi = {x: i for i, x in enumerate(game.inputs_x)}
-    yi = {y: i for i, y in enumerate(game.inputs_y)}
-    ai = {a: i for i, a in enumerate(game.outputs_a)}
-    bi = {b: i for i, b in enumerate(game.outputs_b)}
+    xi, yi, ai, bi = ({v: i for i, v in enumerate(axis)} for axis in game.axes)
     return {
-        "X": len(game.inputs_x),
-        "Y": len(game.inputs_y),
-        "A": len(game.outputs_a),
-        "B": len(game.outputs_b),
+        **{name: len(axis) for name, axis in zip("XYAB", game.axes)},
         "T": {
             f"{xi[x] + 1},{yi[y] + 1}": rational_str(v)
             for (x, y), v in sorted(
@@ -327,18 +329,16 @@ def game_to_json(game: Game) -> dict:
 def game_from_json(obj: dict) -> Game:
     what = "a game"
     _object(obj, what)
-    nx, ny, na, nb = (_int_field(obj, axis, what) for axis in "XYAB")
+    sizes = tuple(_int_field(obj, axis, what) for axis in "XYAB")
     law = {
-        _index_pair(key, "T"): parse_rational(value)
+        _within(_index_pair(key, "T"), sizes[:2], "T key", key): parse_rational(value)
         for key, value in _object(_field(obj, "T", what), "T").items()
     }
     predicate = frozenset(
-        tuple(v - 1 for v in _int_array(entry, "an entry of V", 4))
+        _within(tuple(v - 1 for v in _int_array(entry, "an entry of V", 4)), sizes, "V entry", entry)
         for entry in _array(_field(obj, "V", what), "V")
     )
-    return Game(
-        tuple(range(nx)), tuple(range(ny)), tuple(range(na)), tuple(range(nb)), law, predicate
-    )
+    return Game(*(tuple(range(size)) for size in sizes), law, predicate)
 
 
 def kernel_to_json(kernel: SequentialKernel) -> dict:
@@ -352,28 +352,26 @@ def kernel_to_json(kernel: SequentialKernel) -> dict:
     }
 
 
-def kernel_from_json(obj: dict) -> SequentialKernel:
-    what = "a kernel"
-    rows = {
-        _index_pair(prev_key, "rows"): {
-            _index_pair(nk, f"row {prev_key}"): parse_rational(v)
-            for nk, v in _object(row, f"row {prev_key}").items()
+def _pair_table(obj, what: str, field: str, row: str) -> dict:
+    """``obj[field]``, a table "i,j" -> "i,j" -> "p/q", keyed by 0-based
+    index pairs, else an input error naming ``what``, ``field`` or the
+    ``row`` and its key."""
+    table = _object(_field(_object(obj, what), field, what), field)
+    return {
+        _index_pair(key, field): {
+            _index_pair(inner, f"{row} {key}"): parse_rational(v)
+            for inner, v in _object(cells, f"{row} {key}").items()
         }
-        for prev_key, row in _object(_field(_object(obj, what), "rows", what), "rows").items()
+        for key, cells in table.items()
     }
-    return SequentialKernel(rows)
+
+
+def kernel_from_json(obj: dict) -> SequentialKernel:
+    return SequentialKernel(_pair_table(obj, "a kernel", "rows", "row"))
 
 
 def strategy_from_json(obj: dict) -> Strategy:
-    what = "a strategy"
-    table = {
-        _index_pair(xy_key, "slices"): {
-            _index_pair(ab, f"slice {xy_key}"): parse_rational(v)
-            for ab, v in _object(row, f"slice {xy_key}").items()
-        }
-        for xy_key, row in _object(_field(_object(obj, what), "slices", what), "slices").items()
-    }
-    return Strategy(table)
+    return Strategy(_pair_table(obj, "a strategy", "slices", "slice"))
 
 
 def dumps(obj) -> str:

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import json
 import math
@@ -189,6 +191,23 @@ def test_game_sequential_n1_bound_without_analytic_prefactor(chsh_file, capsys):
     assert payload["degree"] is None
 
 
+@pytest.mark.parametrize("mode", ["parallel", "sequential"])
+def test_game_strategy_file_of_the_witness_prints_the_default_bytes(mode, chsh_file, tmp_path, capsys):
+    # Without --strategy the game plays the classical witness; the same
+    # witness read from a file must give the same report.
+    _, witness = games.classical_value(chsh_game())
+    slices = {
+        f"{x + 1},{y + 1}": {f"{a + 1},{b + 1}": serialize.rational_str(p) for (a, b), p in row.items()}
+        for (x, y), row in witness.table.items()
+    }
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps({"slices": slices}))
+    argv = ["game", chsh_file, "--n", "2", "--mode", mode]
+    code, default = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--strategy", str(path)) == (0, default)
+
+
 @pytest.mark.parametrize("kernel", ["stationary", "non-stationary", "missing"])
 @pytest.mark.parametrize("mode", [[], ["--mode", "parallel"]])
 def test_game_kernel_conflicts_with_parallel_mode(kernel, mode, chsh_file, tmp_path, capsys):
@@ -267,6 +286,7 @@ def test_malformed_file_exits_4(argv, content, chsh_file, tmp_path, capsys):
 
 CHSH_JSON = serialize.game_to_json(chsh_game())
 CERT_WITHOUT = {field: {k: v for k, v in CERT_MARKOV.items() if k != field} for field in ("input", "relation")}
+CONSTANT_SLICES = {f"{x},{y}": {"1,1": "1"} for x in (1, 2) for y in (1, 2)}
 
 
 @pytest.mark.parametrize("argv, content, detail", [
@@ -290,6 +310,25 @@ CERT_WITHOUT = {field: {k: v for k, v in CERT_MARKOV.items() if k != field} for 
      "a distribution's 'factors' must be >= 1 with product 2, got [-1, -2]"),
     (["certify", "{file}"], {"d": 4, "factors": [2, 3], "n": 1, "entries": {}},
      "a distribution's 'factors' must be >= 1 with product 4, got [2, 3]"),
+    # Flags and indices checked at the boundary, not left to a KeyError or
+    # ValueError deep inside.
+    (["classes", "--d", "0", "--n", "2"], {}, "--d must be >= 1, got 0"),
+    (["classes", "--factors", "0,2", "--n", "2"], {},
+     "--factors must be comma-separated integers >= 1, got '0,2'"),
+    (["classes", "--factors", "2,x", "--n", "2"], {},
+     "--factors must be comma-separated integers >= 1, got '2,x'"),
+    (["game", "{file}"], {**CHSH_JSON, "T": {**CHSH_JSON["T"], "3,1": "0"}},
+     "T key '3,1' is outside 1..2 x 1..2"),
+    (["game", "{file}"], {**CHSH_JSON, "V": [[5, 5, 5, 5]]},
+     "V entry [5, 5, 5, 5] is outside 1..2 x 1..2 x 1..2 x 1..2"),
+    (["game", "{chsh}", "--strategy", "{file}"], {"slices": {**CONSTANT_SLICES, "1,1": {"3,1": "1"}}},
+     "slice 1,1 key '3,1' is outside 1..2 x 1..2"),
+    (["game", "{chsh}", "--strategy", "{file}"], {"slices": {**CONSTANT_SLICES, "3,1": {"1,1": "1"}}},
+     "slices key '3,1' is outside 1..2 x 1..2"),
+    (["game", "{chsh}", "--strategy", "{file}", "--n", "2"], {"slices": {"1,1": {"1,1": "1"}}},
+     "a strategy has no slice for input pair '1,2'"),
+    (["game", "{chsh}", "--mode", "sequential", "--kernel", "{file}"],
+     {"rows": {**CONSTANT_SLICES, "3,1": {"1,1": "1"}}}, "rows key '3,1' is outside 1..2 x 1..2"),
 ])
 def test_malformed_file_names_the_field(argv, content, detail, chsh_file, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -314,6 +353,18 @@ def test_csv_and_pretty_formats(capsys):
     assert len(lines) == 5
     code, out = run(capsys, "beta", "--d", "2", "--n", "4", "--format", "pretty")
     assert code == 0 and "beta_exact: 7/2" in out
+    # Without rows of its own a payload is flattened to one csv row: nested
+    # objects as dotted columns, lists as JSON text.
+    argv = ["beta", "--d", "2", "--n", "4"]
+    _, out = run(capsys, *argv)
+    payload = json.loads(out)
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row == {
+        "d": "2", "n": "4", "beta_exact": "7/2", "argmax_type": "[2, 2]",
+        **{f"beta_analytic.{k}": str(v) for k, v in payload["beta_analytic"].items()},
+    }
 
 
 def test_precision_bits_flag_minimum(capsys):

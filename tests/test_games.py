@@ -159,6 +159,23 @@ def test_sequential_with_iid_kernel_equals_parallel():
     assert sequential_game(CHSH, iid_kernel(CHSH), 3) == parallel_game(CHSH, 3)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_parallel_law_is_the_product_of_the_round_laws(n):
+    # parallel_game is sequential_game under iid_kernel, so its law is pinned
+    # here against prod_i T(x_i, y_i) directly, zero-probability pairs included.
+    game = random_game(random.Random(2), 2)
+    assert 0 in game.input_law.values()
+    expected = {}
+    for xt in itertools.product(game.inputs_x, repeat=n):
+        for yt in itertools.product(game.inputs_y, repeat=n):
+            value = Fraction(1)
+            for x, y in zip(xt, yt):
+                value *= game.input_law[(x, y)]
+            if value:
+                expected[(xt, yt)] = value
+    assert parallel_game(game, n).input_law == expected
+
+
 def test_sequential_game_n1_identity():
     assert sequential_game(CHSH, iid_kernel(CHSH), 1) == CHSH
 
