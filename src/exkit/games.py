@@ -286,6 +286,8 @@ def definetti_upper_bound(
     where the closed form is undefined (sequential mode at n = 1).
     """
     if mode == "parallel":
+        if kernel is not None:
+            raise BadParams("parallel mode takes no kernel; a kernel needs sequential mode")
         repeated = parallel_game(game, n, cap)
         relation: Relation = EXCHANGEABLE
     elif mode == "sequential":

@@ -58,6 +58,8 @@ def in_tree_count(descriptor) -> int:
     """
     trans, d, end = descriptor.trans, descriptor.d, descriptor.end
     m = len(trans)
+    if m == 1:  # one gram (l = 0): the minor is empty
+        return 1
     start = gram_rank(descriptor.start, d)
     out = list(descriptor.row_sums)
     out[end] += 1
@@ -67,10 +69,10 @@ def in_tree_count(descriptor) -> int:
     for g in pos:
         row = [0] * len(pos)
         row[pos[g]] = out[g]
-        base = g * d % m
         for z, t in enumerate(trans[g]):
-            if t and base + z != start:
-                row[pos[base + z]] -= t
+            v = (g * d + z) % m
+            if t and v != start:
+                row[pos[v]] -= t
         minor.append(row)
     return _bareiss_det(minor)
 

@@ -226,17 +226,23 @@ class IntervalScalar:
         return self.lo <= value <= self.hi
 
     def certainly_le(self, other: "IntervalScalar | Rational") -> Optional[bool]:
-        """True/False when "self <= other" is certified either way, else None."""
-        o = self._coerce(other)
-        if self.hi <= o.lo:
+        """True/False when "self <= other" is certified either way, else None.
+        A rational ``other`` is compared as it is, with no point interval."""
+        lo, hi = (other.lo, other.hi) if isinstance(other, IntervalScalar) else (other, other)
+        if self.hi <= lo:
             return True
-        if self.lo > o.hi:
+        if self.lo > hi:
             return False
         return None
 
     def certainly_ge(self, other: "IntervalScalar | Rational") -> Optional[bool]:
-        o = self._coerce(other)
-        return o.certainly_le(self)
+        """True/False when "self >= other" is certified either way, else None."""
+        lo, hi = (other.lo, other.hi) if isinstance(other, IntervalScalar) else (other, other)
+        if hi <= self.lo:
+            return True
+        if lo > self.hi:
+            return False
+        return None
 
     def to_json(self, places: int = PLACES) -> dict:
         return {

@@ -28,7 +28,6 @@ from .core import (
     FiniteDistribution,
     Word,
     ZERO,
-    ONE,
 )
 from .errors import BadParams, CapExceeded, EmptyClass, NotExchangeable, WordTooShort
 from .intervals import (
@@ -162,10 +161,6 @@ def alpha_analytic(
 # -- fidelity ---------------------------------------------------------------------
 
 
-def _is_integer_square(x: int) -> bool:
-    return math.isqrt(x) ** 2 == x
-
-
 def _is_square(x: Fraction) -> Optional[Fraction]:
     ns = math.isqrt(x.numerator)
     ds = math.isqrt(x.denominator)
@@ -284,9 +279,9 @@ class Fidelities:
     ``brackets[k]`` = (x0, x1, y0, y1) with A^2 in [x0, x1] and B^2 in
     [y0, y1], in units of 2^-shift.  ``printed[k]`` is the interval a
     certificate prints: the grid interval of the brackets, which prints
-    ``exact(k)``'s strings, and ``exact(k)`` itself for single-surd rows and
-    for rows whose brackets straddle a grid point.  ``combination`` weighs
-    and sums the rows.
+    ``exact(k)``'s strings, and ``exact(k)`` itself for single-surd rows (a
+    point, which ``_row`` computes from integers) and for rows whose brackets
+    straddle a grid point.  ``combination`` weighs and sums the rows.
     """
 
     def __init__(self, decomp: Decomposition, bits: int = DEFAULT_BITS) -> None:
@@ -316,10 +311,18 @@ class Fidelities:
         if not terms:
             return IntervalScalar.exact(0, self.bits), (0, 0, 0, 0)
         # All terms share one surd iff every r/r_0 is a rational square,
-        # i.e. iff p q p_0 q_0 is an integer square.
+        # i.e. iff p q p_0 q_0 is an integer square.  Then sqrt(p/q) is
+        # root / (q sqrt(p_0 q_0)) with root = isqrt(p q p_0 q_0), and the
+        # point ``exact(k)`` reaches through Fractions is A^2 / (Q^2 p_0 q_0)
+        # with Q = lcm q and A = sum size root Q/q.
         pq0 = terms[0][0] * terms[0][1]
-        if all(_is_integer_square(p * q * pq0) for p, q, _ in terms):
-            point = self.exact(k)
+        radicands = [p * q * pq0 for p, q, _ in terms]
+        roots = list(map(math.isqrt, radicands))
+        if all(root * root == x for root, x in zip(roots, radicands)):
+            big_q = math.lcm(*(q for _, q, _ in terms))
+            a = sum(size * root * (big_q // q) for (_, q, size), root in zip(terms, roots))
+            value = Fraction(a * a, big_q * big_q * pq0)
+            point = self._exact[k] = IntervalScalar.exact(value, self.bits)
             lo, hi = (
                 floor_mul(1 << self.shift, point.lo),
                 ceil_mul(1 << self.shift, point.hi),
@@ -428,37 +431,43 @@ def check_exchangeable(
     """Raise NotExchangeable with a witness pair unless P is constant on
     classes; return P's value on each class of its support.
 
-    supp P is grouped by ``relation.word_key``, so each class is typed once,
-    from its first word; the classes are checked in order of first
-    appearance, each against its first word's value and then its size.
+    One pass groups supp P by ``relation.word_key``, keeping per class its
+    first word and value, its word count and its first word of another
+    value; each class is typed once, from its first word, and the classes are
+    checked in order of first appearance, by value and then by size.
     Entries are normalized ``Fraction``s, so two are equal exactly when they
     are the same object (a reader shares one per distinct value) or their
     numerators and denominators are, which is compared directly.  The sizes
     are read from ``index``, P's ``ClassIndex``, when given, and computed
     otherwise.  A class P does not fill is missing a word among its first
-    len(words) + 1 members, so when it exceeds ``cap`` its members are
+    count + 1 members, so when it exceeds ``cap`` its members are
     walked lazily up to there instead of listed."""
     entries, alphabet, n = p.entries, p.alphabet, p.n
     word_key = relation.word_key
     sizes = dict(index.items) if index is not None else None
-    groups: dict[tuple, list[Word]] = {}
-    for word in entries:
-        groups.setdefault(word_key(word, alphabet), []).append(word)
+    # key -> [first word, its value, numerator, denominator, count, other word]
+    groups: dict[tuple, list] = {}
+    for word, value in entries.items():
+        key = word_key(word, alphabet)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [word, value, value.numerator, value.denominator, 1, None]
+            continue
+        group[4] += 1
+        if value is not group[1] and group[5] is None and (
+            value.numerator != group[2] or value.denominator != group[3]
+        ):
+            group[5] = word
     values: dict[TypeDescriptor, Fraction] = {}
-    for words in groups.values():
-        first = words[0]
+    for first, value, _, _, count, other in groups.values():
         descr = type_of(first, relation, alphabet)
-        value = entries[first]
-        num, den = value.numerator, value.denominator
-        for w in words[1:]:
-            other = entries[w]
-            if other is not value and (other.numerator != num or other.denominator != den):
-                raise NotExchangeable(
-                    f"P({first}) = {value} but P({w}) = {other} on the same class",
-                    witness=(first, w),
-                )
+        if other is not None:
+            raise NotExchangeable(
+                f"P({first}) = {value} but P({other}) = {entries[other]} on the same class",
+                witness=(first, other),
+            )
         size = sizes[descr] if sizes is not None else class_size(descr, n)
-        if len(words) != size:
+        if count != size:
             members = class_members(descr, n, cap) if size <= cap else descr.members()
             missing = next(w for w in members if w not in entries)
             raise NotExchangeable(
@@ -486,8 +495,9 @@ def decompose(
         check_exchangeable(p, relation, cap)
         raise
     values = check_exchangeable(p, relation, cap, index)
-    weights = tuple(size * values.get(descr, ZERO) for descr, size in index.items)
-    assert sum(weights, ZERO) == ONE
+    weights = tuple(values.get(descr, ZERO) * size for descr, size in index.items)
+    den = math.lcm(*(w.denominator for w in weights))
+    assert sum(w.numerator * (den // w.denominator) for w in weights) == den  # sum is 1
     return Decomposition(index, weights)
 
 

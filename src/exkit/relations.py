@@ -1,22 +1,21 @@
 """Partial-exchangeability relations, type descriptors and class enumeration.
 
-Three relation families are supported on words in V^n:
+One count-tensor family covers words in V^n: at order l, two words are
+equivalent iff they share their first l letters (the start gram) and their
+gram -> next-letter counts.  Three orders keep their own names and JSON kinds:
 
-* exchangeable      -- words are equivalent iff their letter counts agree;
-* l-Markov          -- equal first l letters and equal (l+1)-gram counts;
-  Markov exchangeability is the l = 1 case, kept under its own name and
-  JSON kind;
-* Cartesian product -- component-wise equivalence on a factored alphabet.
+* exchangeable (l = 0) -- one empty gram, so a class is its letter counts;
+* Markov (l = 1)       -- a start letter and letter -> letter counts;
+* l-Markov (l >= 1)    -- a start gram and gram -> next-letter counts.
 
-A class is identified by its type descriptor (counts / start gram + transition
-tensor / tuple of factor descriptors).  Each relation types words, lists the
-candidate descriptors of length-n words and gives its analytic alpha(n)^2;
-each descriptor knows its class size, members, representative, JSON form and
-the value of its empirical pi_k on any class.  The module-level functions are
-the public entry points and call these methods.  Cardinalities come from
-closed formulas: the
-multinomial coefficient for exchangeability and the BEST-theorem trajectory
-count for the Markov family.
+Cartesian products take them component-wise on a factored alphabet.  A class
+is identified by its type descriptor (start gram and count tensor, or the
+factors' descriptors).  Each relation types words, lists the candidate
+descriptors of length-n words and gives its analytic alpha(n)^2; each
+descriptor knows its class size, members, representative, JSON form and the
+value of its empirical pi_k on any class, once for every order.  Sizes are
+the BEST-theorem trajectory count of the tensor, the multinomial n!/prod t!
+at l = 0.  The module-level functions are the public entry points.
 """
 
 from __future__ import annotations
@@ -40,23 +39,32 @@ from .graphs import factorial_ratio, gram_rank, in_tree_count, trajectory_count
 from .intervals import IntervalScalar
 
 
+class _cached(cached_property):
+    """``functools.cached_property`` without the lock Python < 3.12 takes on
+    each first access; a race at worst computes a field twice."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 # -- relations ------------------------------------------------------------------
 
 
 class Relation:
     """An equivalence relation on V^n whose classes have type descriptors.
 
-    Subclasses provide ``type_of(word, alphabet)``, ``word_key(word,
-    alphabet)``, ``candidate_count`` and ``candidates`` (or their own
-    ``classes``), ``alpha_squared(n, alphabet, bits)`` and ``to_json()``.
+    Subclasses provide ``min_word_length()``, ``type_of(word, alphabet)``,
+    ``word_key(word, alphabet)``, ``candidate_count`` and ``candidates`` (or
+    their own ``classes``), ``alpha_squared(n, alphabet, bits)`` and
+    ``to_json()``.
 
     ``word_key`` is a cheap hashable stand-in for ``type_of``: on words of
     one length, equal keys mean equal descriptors and conversely, so words
     can be grouped into classes before any descriptor is built.
     """
-
-    def min_word_length(self) -> int:
-        return 1
 
     def classes(self, alphabet: Alphabet, n: int, cap: int) -> Iterator[tuple["TypeDescriptor", int]]:
         """(descriptor, size) of every nonempty class, in no fixed order.
@@ -71,39 +79,6 @@ class Relation:
             size = class_size(descr, n)
             if size:
                 yield descr, size
-
-
-@dataclass(frozen=True)
-class Exchangeable(Relation):
-    def type_of(self, word: Word, alphabet: Alphabet) -> "ExchangeableType":
-        counts = [0] * alphabet.size
-        for letter in word:
-            counts[letter] += 1
-        return ExchangeableType(tuple(counts))
-
-    def word_key(self, word: Word, alphabet: Alphabet) -> tuple:
-        """The sorted letters."""
-        return tuple(sorted(word))
-
-    def candidate_count(self, alphabet: Alphabet, n: int) -> int:
-        return math.comb(n + alphabet.size - 1, alphabet.size - 1)
-
-    def candidates(self, alphabet: Alphabet, n: int) -> Iterator["ExchangeableType"]:
-        return map(ExchangeableType, compositions(n, alphabet.size))
-
-    def alpha_squared(self, n: int, alphabet: Alphabet, bits: int) -> tuple[IntervalScalar, int]:
-        """alpha(n)^2 = e^(2K) (n/K)^K / (2 pi n) with K = min(d, n), and the
-        degree 2(d-1); the proof is in ``reduction.alpha_analytic``."""
-        if n < 1:
-            raise BadParams("n must be >= 1")
-        d = alphabet.size
-        k = min(d, n)
-        e2 = IntervalScalar.euler_e(bits) ** 2
-        sq = (e2**k) * Fraction(n**k, k**k * n) / IntervalScalar.two_pi(bits)
-        return sq, 2 * (d - 1)
-
-    def to_json(self) -> dict:
-        return {"kind": "exchangeable"}
 
 
 @dataclass(frozen=True)
@@ -132,7 +107,7 @@ class LMarkov(Relation):
         for z in word[ell:]:
             rows[g][z] += 1
             g = (g * d + z) % m
-        return self.descriptor(word[:ell], tuple(tuple(r) for r in rows))
+        return self.descriptor(word[:ell], tuple(map(tuple, rows)))
 
     def word_key(self, word: Word, alphabet: Alphabet) -> tuple:
         """The start gram and the sorted (l+1)-grams.  A word of length <= l
@@ -164,7 +139,7 @@ class LMarkov(Relation):
         """
         d, ell = alphabet.size, self.ell
         m = d**ell
-        choices: dict = {}  # row choices per (total, caps), for this call only
+        choices: dict = {}  # row choices per (last, total, caps), for this call only
         for start in itertools.product(range(d), repeat=ell):
             s = gram_rank(start, d)
             for out in compositions(n - ell, m):
@@ -221,6 +196,41 @@ class Markov(LMarkov):
 
     def to_json(self) -> dict:
         return {"kind": "markov"}
+
+
+@dataclass(frozen=True)
+class Exchangeable(LMarkov):
+    """Exchangeability: l-Markov with l = 0, whose one empty gram leaves a
+    class its letter counts.  It adds to that order only its JSON kind, its
+    descriptor spelling (``ExchangeableType``), its word key and its own
+    alpha(n)^2.
+    """
+
+    ell: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        """No order check: order 0 is reached by this name only."""
+
+    def descriptor(self, start: tuple[int, ...], trans) -> "ExchangeableType":
+        return ExchangeableType(trans[0])
+
+    def word_key(self, word: Word, alphabet: Alphabet) -> tuple:
+        """The sorted letters."""
+        return tuple(sorted(word))
+
+    def alpha_squared(self, n: int, alphabet: Alphabet, bits: int) -> tuple[IntervalScalar, int]:
+        """alpha(n)^2 = e^(2K) (n/K)^K / (2 pi n) with K = min(d, n), and the
+        degree 2(d-1); the proof is in ``reduction.alpha_analytic``."""
+        if n < 1:
+            raise BadParams("n must be >= 1")
+        d = alphabet.size
+        k = min(d, n)
+        e2 = IntervalScalar.euler_e(bits) ** 2
+        sq = (e2**k) * Fraction(n**k, k**k * n) / IntervalScalar.two_pi(bits)
+        return sq, 2 * (d - 1)
+
+    def to_json(self) -> dict:
+        return {"kind": "exchangeable"}
 
 
 @dataclass(frozen=True)
@@ -302,12 +312,15 @@ class TypeDescriptor:
     """The type of one class; equal descriptors are exactly the relation's
     equivalence.
 
-    Subclasses provide ``relation()``, ``alphabet()``, ``sort_key()``,
-    ``class_size(n)``, ``members()``, ``pi_ratio(c)``, ``support_signature``,
-    ``pi_summary()`` and ``to_json()``; a descriptor knows its word length,
-    which ``class_size(n)`` and ``representative(n)`` only check.
-    Exchangeable and l-Markov descriptors also provide ``pi_mass(letters)``
-    and ``cells``, the bit width of their signature masks.
+    ``LMarkovType`` is the count-tensor descriptor of every order; its
+    spellings ``ExchangeableType`` (l = 0) and ``MarkovType`` (l = 1) add
+    only names and JSON, and ``ProductType`` combines the factors'.  Each
+    provides ``relation()``, ``alphabet()``, ``sort_key()``, ``class_size(n)``,
+    ``members()``, ``pi_ratio(c)``, ``support_signature``, ``cells`` (the bit
+    width of its signature masks), ``pi_summary()`` and ``to_json()``; a
+    descriptor knows its word length, which ``class_size(n)`` and
+    ``representative(n)`` only check.  Count tensors also give
+    ``pi_mass(letters)``.
 
     ``support_signature`` is (key, need, cover) with pi_k(c) != 0 exactly
     when key_k == key_c and need_c & ~cover_k == 0: ``pi_table`` reads it to
@@ -336,67 +349,6 @@ class TypeDescriptor:
 
 
 @dataclass(frozen=True)
-class ExchangeableType(TypeDescriptor):
-    counts: tuple[int, ...]
-
-    def relation(self) -> Relation:
-        return EXCHANGEABLE
-
-    def alphabet(self) -> Alphabet:
-        return Alphabet(len(self.counts))
-
-    def sort_key(self):
-        return (0, self.counts)
-
-    def class_size(self, n: int) -> int:
-        if sum(self.counts) != n:
-            raise InconsistentDescriptor("letter counts do not sum to n")
-        size = math.factorial(n)
-        for c in self.counts:
-            size //= math.factorial(c)
-        return size
-
-    def members(self) -> Iterator[Word]:
-        """The words of the class, lazily, in lexicographic order."""
-        return _multiset_words(self.counts)
-
-    def pi_ratio(self, c: "ExchangeableType") -> tuple[int, int]:
-        """prod_z t_{k,z}^t_{c,z} / n_k^n_c as an unreduced integer ratio,
-        (0, 1) when c uses a letter k never does."""
-        num = 1
-        for tk, tc in zip(self.counts, c.counts):
-            if tc:
-                if not tk:
-                    return 0, 1
-                num *= tk**tc
-        return num, sum(self.counts) ** sum(c.counts)
-
-    @property
-    def cells(self) -> int:
-        return len(self.counts)
-
-    @cached_property
-    def support_signature(self) -> tuple[None, int, int]:
-        """No key; need = cover = the letters with t > 0, so the test is
-        supp(c) within supp(k)."""
-        mask = sum(1 << z for z, t in enumerate(self.counts) if t)
-        return None, mask, mask
-
-    def pi_mass(self, letters) -> Fraction:
-        """pi_k(L^n) for the letter set L at the class's word length n:
-        (sum_{z in L} t_z / n)^n."""
-        n = sum(self.counts)
-        return Fraction(sum(self.counts[z] for z in letters), n) ** n
-
-    def pi_summary(self) -> dict:
-        n = sum(self.counts)
-        return {"pi": [_ratio_str(c, n) for c in self.counts]}
-
-    def to_json(self) -> dict:
-        return {"kind": "exchangeable", "t": list(self.counts)}
-
-
-@dataclass(frozen=True)
 class LMarkovType(TypeDescriptor):
     """Start gram of length l plus gram -> next-letter counts.
 
@@ -414,11 +366,11 @@ class LMarkovType(TypeDescriptor):
     def d(self) -> int:
         return len(self.trans[0])
 
-    @cached_property
+    @_cached
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.trans)
 
-    @cached_property
+    @_cached
     def kernel(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """pi_k's transition probabilities as (counts, total) per gram, the
         row over the next letter being counts / total; never-visited grams
@@ -437,12 +389,12 @@ class LMarkovType(TypeDescriptor):
     def sort_key(self):
         return (2, self.start, self.trans)
 
-    @cached_property
+    @_cached
     def factorials(self) -> tuple[int, int]:
         """``graphs.factorial_ratio``: prod (r_g - 1)! and prod t!."""
         return factorial_ratio(self)
 
-    @cached_property
+    @_cached
     def end(self) -> int | None:
         """The gram at which every word of the class ends: the one gram whose
         excess out - in - [v = start] is -1, with every other excess 0; None
@@ -452,9 +404,9 @@ class LMarkovType(TypeDescriptor):
         excess = list(self.row_sums)
         excess[gram_rank(self.start, d)] -= 1
         for g, row in enumerate(self.trans):
-            base = g * d % m
+            base = g * d
             for z, t in enumerate(row):
-                excess[base + z] -= t
+                excess[(base + z) % m] -= t
         unbalanced = [v for v, x in enumerate(excess) if x]
         return unbalanced[0] if len(unbalanced) == 1 else None
 
@@ -465,7 +417,7 @@ class LMarkovType(TypeDescriptor):
                 f"transition counts sum to {steps}, expected {n - self.ell}"
             )
 
-    @cached_property
+    @_cached
     def size(self) -> int:
         """The BEST count of the class, at its word length l + sum of counts."""
         return trajectory_count(self, self.ell + sum(self.row_sums))
@@ -477,28 +429,31 @@ class LMarkovType(TypeDescriptor):
     def members(self) -> Iterator[Word]:
         """The words of the class, lazily, in lexicographic order: the walks
         from the start gram that use up the count tensor, letter z taking
-        gram g to gram (g d + z) mod d^l."""
+        gram g to gram (g d + z) mod d^l.  The walk keeps its own stack, so
+        the callers' size caps are the only bound on the word length."""
         d, m = self.d, len(self.trans)
-        steps = sum(self.row_sums)
-        if steps > 60:
-            raise CapExceeded("transition count too large to enumerate trajectories")
         left = [list(row) for row in self.trans]
         word = list(self.start)
-
-        def walk(g: int, to_go: int) -> Iterator[Word]:
-            if not to_go:
+        n = len(word) + sum(self.row_sums)
+        grams = [gram_rank(self.start, d)]  # the gram after each step so far
+        z = 0  # the next letter to try after the last step
+        while True:
+            if len(word) == n:
                 yield tuple(word)
+            row = left[grams[-1]]
+            while z < d and not row[z]:
+                z += 1
+            if z < d:  # step on
+                row[z] -= 1
+                word.append(z)
+                grams.append((grams[-1] * d + z) % m)
+                z = 0
+            elif len(grams) > 1:  # step back, then try the next letter there
+                grams.pop()
+                left[grams[-1]][word[-1]] += 1
+                z = word.pop() + 1
+            else:
                 return
-            row = left[g]
-            for z in range(d):
-                if row[z]:
-                    row[z] -= 1
-                    word.append(z)
-                    yield from walk((g * d + z) % m, to_go - 1)
-                    word.pop()
-                    row[z] += 1
-
-        return walk(gram_rank(self.start, d), steps)
 
     def pi_ratio(self, c: "LMarkovType") -> tuple[int, int]:
         """[start grams agree] * prod_{g,z} (t_{k,gz}/r_{k,g})^t_{c,gz} as an
@@ -522,39 +477,38 @@ class LMarkovType(TypeDescriptor):
     def cells(self) -> int:
         return len(self.trans) * self.d
 
-    @cached_property
+    @_cached
     def support_signature(self) -> tuple[tuple[int, ...], int, int]:
         """Key the start gram; need the cells g d + z with t_{g,z} > 0; cover
         those plus every cell of a gram k never visits, where pi_k's kernel
         row is uniform."""
         d = self.d
-        need = cover = 0
-        for g, (row, r) in enumerate(zip(self.trans, self.row_sums)):
-            for z, t in enumerate(row):
-                if t:
-                    need |= 1 << (g * d + z)
-            if not r:
-                cover |= ((1 << d) - 1) << (g * d)
-        return self.start, need, need | cover
+        need = sum(1 << i for i, t in enumerate(itertools.chain.from_iterable(self.trans)) if t)
+        unvisited = sum(((1 << d) - 1) << (g * d) for g, r in enumerate(self.row_sums) if not r)
+        return self.start, need, need | unvisited
 
-    def pi_mass(self, letters) -> Fraction:
+    def pi_mass(self, letters: frozenset[int]) -> Fraction:
         """pi_k(L^n) for the letter set L at the class's word length n: the
         chain starts at the start gram (0 if it uses a letter outside L) and
-        takes n - l steps through ``kernel`` on the letters of L."""
-        if not set(self.start) <= set(letters):
+        takes n - l steps through ``kernel`` on the letters of L, in integer
+        masses over scale^steps, with scale the lcm of the kernel's totals."""
+        if not letters.issuperset(self.start):
             return ZERO
-        d, m = self.d, len(self.trans)
-        mass = {gram_rank(self.start, d): ONE}
-        for _ in range(sum(self.row_sums)):
-            step: dict[int, Fraction] = {}
+        d, m, kernel = self.d, len(self.trans), self.kernel
+        scale = math.lcm(*[r for _, r in kernel])
+        steps = sum(self.row_sums)
+        mass = {gram_rank(self.start, d): 1}
+        for _ in range(steps):
+            step: dict[int, int] = {}
             for g, p in mass.items():
-                row, r = self.kernel[g]
+                row, r = kernel[g]
+                p *= scale // r
                 for z in letters:
                     if row[z]:
                         h = (g * d + z) % m
-                        step[h] = step.get(h, ZERO) + p * Fraction(row[z], r)
+                        step[h] = step.get(h, 0) + p * row[z]
             mass = step
-        return sum(mass.values(), ZERO)
+        return Fraction(sum(mass.values()), scale**steps)
 
     def start_json(self):
         return [v + 1 for v in self.start]
@@ -574,10 +528,13 @@ class LMarkovType(TypeDescriptor):
 
 class MarkovType(LMarkovType):
     """Markov descriptor: the l = 1 ``LMarkovType`` built from a start letter,
-    written with an integer start in JSON."""
+    written with an integer start in JSON.  The order is a class attribute."""
+
+    ell = 1
 
     def __init__(self, start: int, trans) -> None:
-        super().__init__(1, (start,), trans)
+        object.__setattr__(self, "start", (start,))
+        object.__setattr__(self, "trans", trans)
 
     def relation(self) -> Relation:
         return MARKOV
@@ -600,6 +557,35 @@ class MarkovType(LMarkovType):
 
     def to_json(self) -> dict:
         return {"kind": "markov", "start": self.start_json(), "t": [list(r) for r in self.trans]}
+
+
+class ExchangeableType(LMarkovType):
+    """Exchangeable descriptor: the l = 0 ``LMarkovType``, whose one row
+    counts the letters, built from and written as those counts.  The order
+    and the empty start gram are class attributes."""
+
+    ell = 0
+    start = ()
+
+    def __init__(self, counts) -> None:
+        object.__setattr__(self, "trans", (tuple(counts),))
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return self.trans[0]
+
+    def relation(self) -> Relation:
+        return EXCHANGEABLE
+
+    def sort_key(self):
+        return (0, self.counts)
+
+    def pi_summary(self) -> dict:
+        n = self.row_sums[0]
+        return {"pi": [_ratio_str(t, n) for t in self.counts]}
+
+    def to_json(self) -> dict:
+        return {"kind": "exchangeable", "t": list(self.counts)}
 
 
 @dataclass(frozen=True)
@@ -649,7 +635,7 @@ class ProductType(TypeDescriptor):
             num, den = num * part_num, den * part_den
         return num, den
 
-    @cached_property
+    @_cached
     def support_signature(self) -> tuple[tuple, int, int]:
         """The parts' keys as a tuple and their masks side by side: every
         part must pass its own test."""
@@ -679,9 +665,11 @@ def _de_bruijn_tables(
 
     Row g fills the consecutive columns g d mod d^l onward, each cell taking
     at most what its column still lacks; as every row is filled exactly, no
-    column ends short, so every table yielded meets both margins.  A row's
-    options (row, its prod t!, what its columns then lack) are kept in
-    ``choices`` per (total, caps), which the caller owns.
+    column ends short, so every table yielded meets both margins.  With one
+    gram (l = 0) all d cells feed its one column, so each may take the whole
+    row.  A row's options (row, its prod t!, what its columns then lack, which
+    the last row skips) are kept in ``choices`` per (last, total, caps),
+    which the caller owns.
     """
     m = len(out)
     lack = list(into)
@@ -689,21 +677,26 @@ def _de_bruijn_tables(
 
     def rows_from(g: int, den: int):
         base = g * d % m
-        key = (out[g], tuple(lack[base : base + d]))
+        last = g == m - 1
+        caps = tuple(lack[base : base + d]) if m > 1 else (out[g],) * d
+        key = (last, out[g], caps)
         options = choices.get(key)
         if options is None:
             options = choices[key] = [
-                (row, math.prod(map(math.factorial, row)), [c - x for c, x in zip(key[1], row)])
-                for row in _bounded_compositions(*key)
+                (row, math.prod(map(math.factorial, row)),
+                 None if last else [c - x for c, x in zip(caps, row)])
+                for row in _bounded_compositions(out[g], caps)
             ]
+        if last:
+            for row, f, _ in options:
+                rows[g] = row
+                yield tuple(rows), den * f
+            return
         for row, f, left in options:
             rows[g] = row
-            if g == m - 1:
-                yield tuple(rows), den * f
-                continue
             lack[base : base + d] = left
             yield from rows_from(g + 1, den * f)
-        lack[base : base + d] = key[1]
+        lack[base : base + d] = caps
 
     yield from rows_from(0, 1)
     del rows_from  # a recursive closure is a reference cycle; break it
@@ -739,12 +732,9 @@ def type_of(word: Word, relation: Relation, alphabet: Alphabet) -> TypeDescripto
 
 
 def class_size(descriptor: TypeDescriptor, n: int) -> int:
-    """Exact cardinality of the class; 0 when no word realizes the type.
-
-    Multinomial n!/(t_1!...t_d!) for exchangeability, the BEST trajectory
-    count on the (augmented) transition graph for the Markov family, and the
-    product of factor sizes for Cartesian products.
-    """
+    """Exact cardinality of the class; 0 when no word realizes the type: the
+    BEST trajectory count of a count tensor (n!/prod t! at l = 0), and the
+    product of the factors' sizes for a Cartesian product."""
     return descriptor.class_size(n)
 
 
@@ -771,17 +761,6 @@ def best_formula_terms(descriptor: LMarkovType, n: int) -> dict:
 # -- member enumeration ---------------------------------------------------------
 
 
-def _multiset_words(counts: tuple[int, ...]) -> Iterator[Word]:
-    if sum(counts) == 0:
-        yield ()
-        return
-    for letter, c in enumerate(counts):
-        if c:
-            rest = counts[:letter] + (c - 1,) + counts[letter + 1 :]
-            for tail in _multiset_words(rest):
-                yield (letter,) + tail
-
-
 def class_members(
     descriptor: TypeDescriptor, n: int, cap: int = DEFAULT_ENUM_CAP
 ) -> list[Word]:
@@ -793,8 +772,7 @@ def class_members(
 
 
 def representative(descriptor: TypeDescriptor, n: int) -> Word:
-    """One member of the class (the lexicographically first for exchangeable
-    and product types, the first trajectory otherwise)."""
+    """The lexicographically first member of the class."""
     return descriptor.representative(n)
 
 
@@ -830,11 +808,11 @@ def enumerate_types(
     (verified, which doubles as a self-check of the cardinality formulas).
 
     Raises CapExceeded, before the enumeration, when the relation has more
-    candidate types than ``cap``: C(n+d-1, d-1) compositions for
-    exchangeability, d^l C(n-l+d^(l+1)-1, d^(l+1)-1) start grams times count
-    tensors for l-Markov (a bound: only the tensors whose degrees admit a
-    trail are enumerated), and the product of the factors' class counts for
-    a Cartesian product.
+    candidate types than ``cap``: d^l C(n-l+d^(l+1)-1, d^(l+1)-1) start grams
+    times count tensors at order l (C(n+d-1, d-1) letter counts at l = 0; at
+    l >= 1 a bound, as only the tensors whose degrees admit a trail are
+    enumerated), and the product of the factors' class counts for a
+    Cartesian product.
     """
     if n < relation.min_word_length():
         raise WordTooShort(f"relation needs n >= {relation.min_word_length()}")

@@ -522,6 +522,23 @@ def test_non_invariant_class_over_the_cap_exits_4(cap, capsys):
     assert payload["witness"] == [[0, 0, 1, 1], [1, 1, 0, 0]]
 
 
+@pytest.mark.parametrize("relation, entries, witness", [
+    # Markov, 62 letters: listing the class walks 61 steps.
+    ("markov", {"12" + "1" * 60: "1"}, [[0, 1] + [0] * 60, [0] * 60 + [1, 0]]),
+    # Exchangeable, 61 letters: two of the 61 words of counts (60, 1).
+    ("exchangeable", {"1" * 60 + "2": "1/2", "1" * 59 + "21": "1/2"},
+     [[0] * 60 + [1], [0] * 58 + [1, 0, 0]]),
+])
+def test_non_invariant_class_of_long_words_exits_4(relation, entries, witness, tmp_path, capsys):
+    # Only the size caps bound the walk that finds the missing member.
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"d": 2, "n": len(next(iter(entries))), "entries": entries}))
+    code = main(["certify", str(path), "--relation", relation])
+    payload = json.loads(capsys.readouterr().err)
+    assert code == 4
+    assert payload["error"] == "NotExchangeable" and payload["witness"] == witness
+
+
 DATA = Path(__file__).parent / "data"
 
 

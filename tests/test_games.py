@@ -292,6 +292,16 @@ def test_definetti_bound_requires_kernel_for_sequential():
         definetti_upper_bound(CHSH, 2, random_strategy(CHSH, 2, random.Random(2)), mode="sequential")
 
 
+def test_definetti_bound_rejects_a_kernel_in_parallel_mode():
+    # Parallel play is the i.i.d. kernel; another kernel is an error, not dropped.
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    cycle = SequentialKernel({pairs[i]: {pairs[(i + 1) % 4]: Fraction(1)} for i in range(4)})
+    _, witness = classical_value(CHSH)
+    strategy = tensor_strategy(CHSH, witness, 2)  # invariant, so only the kernel can fail
+    with pytest.raises(BadParams, match="parallel mode takes no kernel"):
+        definetti_upper_bound(CHSH, 2, strategy, mode="parallel", kernel=cycle)
+
+
 def test_joint_weight_is_a_distribution():
     rng = random.Random(77)
     g2 = parallel_game(CHSH, 2)

@@ -8,7 +8,9 @@ import pytest
 from exkit.intervals import (
     PLACES,
     IntervalScalar,
+    ceil_mul,
     e_bounds,
+    floor_mul,
     grid_interval,
     pi_bounds,
     scaled_certainly_ge,
@@ -176,3 +178,14 @@ def test_scaled_certainly_ge_agrees_with_every_enclosed_interval():
         if decided is not None:
             assert inner.certainly_ge(value) is decided
     assert outcomes == {True, False, None}
+
+
+def test_floor_mul_and_ceil_mul_round_the_exact_product():
+    # Negative and non-integer products separate the two directions.
+    factors = [Fraction(p, q) for p in (-7, -3, -1, 0, 1, 2, 5, 9) for q in (1, 2, 3, 7)]
+    for x in (-13, -2, -1, 0, 1, 3, 10, 2**70 + 1):
+        for f in factors:
+            assert floor_mul(x, f) == math.floor(x * f), (x, f)
+            assert ceil_mul(x, f) == math.ceil(x * f), (x, f)
+    assert (floor_mul(1, Fraction(1, 2)), ceil_mul(1, Fraction(1, 2))) == (0, 1)
+    assert (floor_mul(-1, Fraction(1, 2)), ceil_mul(-1, Fraction(1, 2))) == (-1, 0)

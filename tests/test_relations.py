@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -366,3 +367,50 @@ def test_descriptors_list_members_and_summaries_at_their_own_length():
     terms = best_formula_terms(descr, 8)
     assert descr.best_formula_json()["spanning_trees"] == terms["spanning_trees"] == 3
     assert ExchangeableType((1, 3)).pi_summary() == {"pi": ["1/4", "3/4"]}
+
+
+def test_members_walk_any_number_of_steps():
+    # The walk keeps its own stack, so only the callers' caps bound its
+    # length: 61 and 62 letters list in full, in lexicographic order.
+    assert class_members(ExchangeableType((60, 1)), 61) == [
+        (0,) * p + (1,) + (0,) * (60 - p) for p in range(60, -1, -1)
+    ]
+    markov = type_of((0, 1) + (0,) * 60, MARKOV, A2)
+    assert class_members(markov, 62) == [
+        (0,) * p + (1,) + (0,) * (61 - p) for p in range(60, 0, -1)
+    ]
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 6), (2, 6), (3, 6), (4, 4)])
+def test_order_zero_spelling_matches_letter_counts(d, n_max):
+    # Exchangeable is l-Markov(0): one gram, whose row counts the letters.
+    # Every word is grouped by its letter counts here, apart from exkit, and
+    # the generic classes, sizes, members, pi, support signatures and pi
+    # masses are checked against the counts' closed forms.
+    alphabet = Alphabet(d)
+    for n in range(1, n_max + 1):
+        by_counts: dict[tuple, list] = {}
+        for w in itertools.product(range(d), repeat=n):
+            by_counts.setdefault(tuple(map(w.count, range(d))), []).append(w)
+        groups = brute_force_index(EXCHANGEABLE, alphabet, n)
+        assert {descr.counts: words for descr, words in groups.items()} == by_counts
+        index = enumerate_types(EXCHANGEABLE, alphabet, n)
+        assert [descr.counts for descr in index.descriptors()] == sorted(by_counts)
+        for descr, size in index.items:
+            assert (descr.ell, descr.start, descr.trans) == (0, (), (descr.counts,))
+            words = by_counts[descr.counts]
+            assert size == class_size(descr, n) == math.factorial(n) // math.prod(
+                map(math.factorial, descr.counts)
+            ) == len(words)
+            assert list(descr.members()) == words  # product() lists them in order
+        for k in index.descriptors():
+            key_k, _, cover_k = k.support_signature
+            for c in index.descriptors():
+                pi = math.prod(Fraction(tk, n) ** tc for tk, tc in zip(k.counts, c.counts))
+                assert k.pi_at(c) == pi, (k, c)
+                key_c, need_c, _ = c.support_signature
+                assert (key_k == key_c and not need_c & ~cover_k) == (pi != 0), (k, c)
+            for r in range(d + 1):
+                for letters in itertools.combinations(range(d), r):
+                    mass = Fraction(sum(k.counts[z] for z in letters), n) ** n
+                    assert k.pi_mass(frozenset(letters)) == mass, (k, letters)
